@@ -23,8 +23,7 @@ from .factorizations import (MatrixFactorization, MfMorphism, Triangle,
                              compose, cone, cone_triangle, direct_sum,
                              elementary, elementary_morphism,
                              hom_differentials, identity_morphism, is_cocycle,
-                             is_null_homotopic, make_factorization,
-                             null_homotopy_witness, scale_morphism,
+                             is_null_homotopic, null_homotopy_witness,
                              scale_potential, suspend_morphism, suspension,
                              zero_morphism)
 from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
@@ -57,10 +56,10 @@ __all__ = [
     "determinantal_invariants", "invariant_factors_via_delta", "equivalent",
     "kernel_basis", "ModuleInvariants", "image_cokernel_invariants",
     "LinearSolver", "Subquotient", "subquotient",
-    "MatrixFactorization", "MfMorphism", "Triangle", "make_factorization",
+    "MatrixFactorization", "MfMorphism", "Triangle",
     "elementary", "elementary_morphism", "identity_morphism", "zero_morphism",
     "compose", "is_cocycle", "suspension", "suspend_morphism", "direct_sum",
-    "scale_potential", "scale_morphism", "hom_differentials",
+    "scale_potential", "hom_differentials",
     "null_homotopy_witness", "is_null_homotopic", "cone", "cone_triangle",
     "CriticalData", "critical_decompose", "critical_ideal_generator",
     "StrongDecomposition", "strong_decompose", "strong_iso", "merge_pair",

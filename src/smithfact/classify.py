@@ -21,7 +21,7 @@ from .factorizations import (MatrixFactorization, MfMorphism, elementary,
 from .matrices import RingMatrix
 from .rings import (RingElement, divides, exact_div, factorize, gcd, gcd_all,
                     lcm, normalize, same_ring)
-from .smith import (LinearSolver, ModuleInvariants, Subquotient, smith,
+from .smith import (ModuleInvariants, Subquotient, _kernel_coordinates, smith,
                     subquotient)
 
 __all__ = [
@@ -267,8 +267,7 @@ def induced_hom_iso(f: MfMorphism, t: MatrixFactorization) -> bool:
 
 def _presented_map_iso(src: Subquotient, dst: Subquotient,
                        lmat: RingMatrix) -> bool:
-    mapped = lmat @ src.generators
-    y = LinearSolver(dst.generators).solve_matrix(mapped)
+    y = _kernel_coordinates(dst.outer_smith, lmat @ src.generators)
     if y is None:
         raise ValidationError("induced map does not preserve cocycles")
     if src.invariants.free_rank or dst.invariants.free_rank:
@@ -277,7 +276,7 @@ def _presented_map_iso(src: Subquotient, dst: Subquotient,
         return False
     onto = RingMatrix.block([[y, dst.relations]])
     dec = smith(onto)
-    if dec.rank != dst.generators.cols:
+    if dec.rank != y.rows:
         return False
     return all(d.is_unit for d in dec.invariant_factors)
 

@@ -54,10 +54,7 @@ def _load_json(source: str):
 def _default_ring(args) -> Ring | None:
     if getattr(args, "ring", None) is None:
         return None
-    try:
-        return ring_from_text(args.ring)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return ring_from_text(args.ring)
 
 
 def _fallback_ring(args) -> Ring:
@@ -68,12 +65,7 @@ def _fallback_ring(args) -> Ring:
 def _matrix_lines(m: RingMatrix, indent: str = "  ") -> list[str]:
     if m.rows == 0 or m.cols == 0:
         return [f"{indent}({m.rows} x {m.cols} empty)"]
-    cells = [[m.entry(i, j).text() for j in range(m.cols)]
-             for i in range(m.rows)]
-    widths = [max(len(cells[i][j]) for i in range(m.rows))
-              for j in range(m.cols)]
-    return [indent + "[" + "  ".join(c.rjust(w) for c, w in zip(row, widths))
-            + "]" for row in cells]
+    return [indent + line for line in str(m).splitlines()]
 
 
 # -- subcommand handlers ------------------------------------------------------

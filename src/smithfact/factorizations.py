@@ -23,13 +23,11 @@ __all__ = [
     "MatrixFactorization",
     "MfMorphism",
     "Triangle",
-    "make_factorization",
     "elementary",
     "suspension",
     "suspend_morphism",
     "direct_sum",
     "scale_potential",
-    "scale_morphism",
     "elementary_morphism",
     "identity_morphism",
     "zero_morphism",
@@ -97,11 +95,6 @@ class MatrixFactorization:
     def __repr__(self):
         return (f"<MatrixFactorization rho={self.rho} of {self.W.text()} "
                 f"over {self.ring.name}>")
-
-
-def make_factorization(W: RingElement, u: RingMatrix,
-                       v: RingMatrix) -> MatrixFactorization:
-    return MatrixFactorization(W, u, v)
 
 
 def elementary(v: RingElement, W: RingElement) -> MatrixFactorization:
@@ -231,12 +224,6 @@ def scale_potential(a: MatrixFactorization,
     if not s.is_unit:
         raise PreconditionError("scale factor must be a unit")
     return MatrixFactorization(s * a.W, a.u, a.v.scale(s))
-
-
-def scale_morphism(f: MfMorphism, s: RingElement) -> MfMorphism:
-    """Transport a morphism along scale_potential; components are unchanged."""
-    return MfMorphism(scale_potential(f.source, s),
-                      scale_potential(f.target, s), f.f00, f.f11)
 
 
 def hom_differentials(a1: MatrixFactorization,

@@ -66,10 +66,7 @@ def parse_ring(obj, fallback: Ring | None = None) -> Ring:
         _expect(fallback is not None, "no ring given and none implied")
         return fallback
     _expect(isinstance(obj, str), "ring must be a string name")
-    try:
-        return ring_from_text(obj)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return ring_from_text(obj)
 
 
 def parse_element(ring: Ring, obj) -> RingElement:
@@ -79,10 +76,7 @@ def parse_element(ring: Ring, obj) -> RingElement:
     if isinstance(obj, int):
         return ring.from_int(obj)
     _expect(isinstance(obj, str), "entries must be strings or integers")
-    try:
-        return ring.parse(obj)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return ring.parse(obj)
 
 
 def matrix_to_json(m: RingMatrix) -> dict:

@@ -348,11 +348,11 @@ class GFPolynomialRing(Ring):
             if not m or (m.group(2) is None and "x" not in chunk):
                 raise ParseError(f"bad polynomial term: {chunk!r}")
             sign = -1 if m.group(1) == "-" else 1
-            coef = int(m.group(2)) if m.group(2) is not None else 1
-            if "x" in chunk:
-                exp = int(m.group(4)) if m.group(4) is not None else 1
-            else:
-                exp = 0
+            try:  # int() refuses literals past the int-to-str digit limit
+                coef = int(m.group(2) or 1)
+                exp = int(m.group(4) or 1) if "x" in chunk else 0
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
             coeffs[exp] = coeffs.get(exp, 0) + sign * coef
         out = [0] * (max(coeffs) + 1 if coeffs else 0)
         for e, c in coeffs.items():
@@ -411,7 +411,7 @@ def ring_from_text(text: str) -> Ring:
     if m:
         try:
             return gf_polynomial_ring(int(m.group(1)))
-        except ValidationError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown ring declaration: {text!r}")
 

@@ -7,8 +7,8 @@ the reduction (columns beyond the rank are a kernel basis), so linear systems
 over the ring are solvable from the same data.
 
 Determinantal invariants (gcds of k x k minors) provide an independent
-oracle for the invariant factors on small inputs; larger inputs fall back to
-Smith-derived values behind a provenance flag.
+oracle for the invariant factors on inputs up to MINOR_ORACLE_CAP; larger
+inputs are refused.
 """
 
 from __future__ import annotations
@@ -184,36 +184,30 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     factors = tuple(B[i][i] for i in range(rank))
     d_mat = RingMatrix.diagonal(ring, factors, rows=m, cols=n)
     return SmithDecomposition(
-        U=RingMatrix.from_rows(ring, U) if m else RingMatrix.zeros(ring, 0, 0),
-        V=RingMatrix.from_rows(ring, V) if n else RingMatrix.zeros(ring, 0, 0),
+        U=RingMatrix.from_rows(ring, U),
+        V=RingMatrix.from_rows(ring, V),
         D=d_mat,
         rank=rank,
         invariant_factors=factors,
-        v_inv=RingMatrix.from_rows(ring, Vi) if n else RingMatrix.zeros(ring, 0, 0),
+        v_inv=RingMatrix.from_rows(ring, Vi),
     )
 
 
 @dataclass(frozen=True)
 class DeterminantalInvariants:
-    """delta[k] = gcd of all k x k minors (delta[0] = 1), trimmed at the rank.
-
-    ``from_minors`` records whether the values came from actual minor
-    enumeration or from a Smith decomposition (inputs beyond the cap).
-    """
+    """delta[k] = gcd of all k x k minors (delta[0] = 1), trimmed at the rank."""
 
     delta: tuple[RingElement, ...]
     rank: int
-    from_minors: bool
 
 
 def determinantal_invariants(a: RingMatrix) -> DeterminantalInvariants:
+    """Minor enumeration; refused above MINOR_ORACLE_CAP rows or columns."""
     ring = a.ring
     if max(a.rows, a.cols) > MINOR_ORACLE_CAP:
-        dec = smith(a)
-        delta = [ring.one]
-        for d in dec.invariant_factors:
-            delta.append(normalize(delta[-1] * d).canonical)
-        return DeterminantalInvariants(tuple(delta), dec.rank, from_minors=False)
+        raise PreconditionError(
+            f"minor oracle is capped at {MINOR_ORACLE_CAP}x{MINOR_ORACLE_CAP}, "
+            f"got {a.rows}x{a.cols}")
     delta: list[RingElement] = [ring.one]
     for k in range(1, min(a.rows, a.cols) + 1):
         g = ring.zero
@@ -230,7 +224,7 @@ def determinantal_invariants(a: RingMatrix) -> DeterminantalInvariants:
         if g.is_zero:
             break
         delta.append(g)
-    return DeterminantalInvariants(tuple(delta), len(delta) - 1, from_minors=True)
+    return DeterminantalInvariants(tuple(delta), len(delta) - 1)
 
 
 def invariant_factors_via_delta(a: RingMatrix) -> tuple[RingElement, ...]:
@@ -254,11 +248,26 @@ def equivalent(a: RingMatrix, b: RingMatrix) -> bool:
 
 def kernel_basis(a: RingMatrix) -> RingMatrix:
     """Columns freely generate ker(a); shape n x (n - rank)."""
-    dec = smith(a)
-    n = a.cols
-    cols = range(dec.rank, n)
-    entries = [dec.v_inv.entry(i, j) for i in range(n) for j in cols]
-    return RingMatrix(a.ring, n, n - dec.rank, entries)
+    return _kernel_columns(smith(a))
+
+
+def _kernel_columns(dec: SmithDecomposition) -> RingMatrix:
+    """The columns of ``v_inv`` past the rank: a free basis of ker(A)."""
+    vi, r = dec.v_inv, dec.rank
+    entries = [e for i in range(vi.rows) for e in vi.row(i)[r:]]
+    return RingMatrix(vi.ring, vi.rows, vi.cols - r, entries)
+
+
+def _kernel_coordinates(dec: SmithDecomposition,
+                        x: RingMatrix) -> RingMatrix | None:
+    """Coordinates of the columns of x in ``_kernel_columns(dec)``, or None
+    when one leaves ker(A): since U*A = D*V, A*x = 0 exactly when the first
+    ``rank`` rows of V*x vanish, and x = v_inv*(V*x) gives the rest."""
+    vx = dec.V @ x
+    cut = dec.rank * vx.cols
+    if not all(e.is_zero for e in vx.entries[:cut]):
+        return None
+    return RingMatrix(vx.ring, vx.rows - dec.rank, vx.cols, vx.entries[cut:])
 
 
 @dataclass(frozen=True)
@@ -371,25 +380,29 @@ class LinearSolver:
 class Subquotient:
     """ker(outer)/im(inner), presented by generators and relations.
 
-    ``generators`` has a kernel basis of ``outer`` for columns; ``relations``
-    expresses the columns of ``inner`` in those coordinates.
+    Costs two Smith decompositions: ``outer_smith`` and one of
+    ``relations``.  Because U*outer = D*V, the kernel basis
+    (``generators``, the columns of ``v_inv`` past the rank), the relations
+    (the rows of V*inner past the rank) and the precondition (the rows
+    above it vanish) all come from ``outer_smith``.
     """
 
-    generators: RingMatrix
+    outer_smith: SmithDecomposition
     relations: RingMatrix
     invariants: ModuleInvariants
+
+    @property
+    def generators(self) -> RingMatrix:
+        return _kernel_columns(self.outer_smith)
 
 
 def subquotient(outer: RingMatrix, inner: RingMatrix) -> Subquotient:
     """Homology-style subquotient; requires outer @ inner = 0."""
-    if not (outer @ inner).is_zero():
+    dec = smith(outer)
+    rel = _kernel_coordinates(dec, inner)
+    if rel is None:
         raise PreconditionError("image does not lie inside the kernel")
-    gens = kernel_basis(outer)
-    rel = LinearSolver(gens).solve_matrix(inner)
-    if rel is None:  # cannot happen when the precondition holds
-        raise ValidationError("image not expressible in the kernel basis")
-    dec = smith(rel)
-    factors = list(dec.invariant_factors) + \
-        [outer.ring.zero] * (gens.cols - dec.rank)
-    return Subquotient(gens, rel,
-                       ModuleInvariants.build(outer.ring, factors))
+    rel_dec = smith(rel)
+    factors = list(rel_dec.invariant_factors) + \
+        [outer.ring.zero] * (rel.rows - rel_dec.rank)
+    return Subquotient(dec, rel, ModuleInvariants.build(outer.ring, factors))

@@ -61,6 +61,23 @@ def test_snf_missing_file_exit_2(capsys):
     assert code == 2
 
 
+# Past Python's int-to-str digit limit int() raises a plain ValueError; the
+# ring layer turns it into a parse error.
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", f"GF({HUGE})[x]", "[[1]]"],
+    [json.dumps({"ring": f"GF({HUGE})[x]", "entries": [["x"]]})],
+    [json.dumps({"ring": "GF(5)[x]", "entries": [[f"{HUGE}*x+1"]]})],
+], ids=["ring_flag", "ring_declaration", "gf_coefficient"])
+def test_snf_huge_literal_exit_2(capsys, argv):
+    code, out, err = run(capsys, "snf", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_snf_stdin(capsys, monkeypatch):
     import io
 

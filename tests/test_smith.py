@@ -1,16 +1,22 @@
 """Normal form, minor-gcd oracle, kernels, cokernel presentations."""
 
 import random
+import sys
 
 import pytest
 
 from smithfact import (
     PreconditionError,
     LinearSolver,
+    ModuleInvariants,
     RingMatrix,
     ValidationError,
+    conjugate_factorization,
     determinantal_invariants,
+    elementary_sum,
     equivalent,
+    hmf_hom,
+    hom_differentials,
     image_cokernel_invariants,
     invariant_factors_via_delta,
     kernel_basis,
@@ -18,7 +24,7 @@ from smithfact import (
     smith,
     subquotient,
 )
-from conftest import GF3, GF5, Z, z
+from conftest import GF3, GF5, Z, gf, z
 
 
 def M(rows, ring=Z):
@@ -88,19 +94,19 @@ def test_smith_regression_unit_pivot_cycle():
 def test_minor_oracle_examples():
     a = M([[2, 4], [6, 8]])
     inv = determinantal_invariants(a)
-    assert inv.from_minors
     # delta_1 = gcd of entries = 2, delta_2 = |det| = 8
     assert tuple(str(d) for d in inv.delta) == ("1", "2", "8")
     assert tuple(str(d) for d in invariant_factors_via_delta(a)) == ("2", "4")
     assert invariant_factors_via_delta(a) == smith(a).invariant_factors
 
 
-def test_minor_oracle_falls_back_above_cap():
+def test_minor_oracle_refuses_above_cap():
     rng = random.Random(3)
     a = random_matrix(Z, rng, 6, 6, int_bound=4)
-    inv = determinantal_invariants(a)
-    assert not inv.from_minors
-    assert invariant_factors_via_delta(a) == smith(a).invariant_factors
+    with pytest.raises(PreconditionError):
+        determinantal_invariants(a)
+    with pytest.raises(PreconditionError):
+        invariant_factors_via_delta(a)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +132,7 @@ def test_kernel_examples():
     a = M([[1, 1]])
     k = kernel_basis(a)
     assert k.shape == (2, 1)
-    assert (a @ k).is_zero
+    assert (a @ k).is_zero()
     assert not k.column(0) == (Z.zero, Z.zero)
     # zero map: full kernel
     a = RingMatrix.zeros(Z, 2, 2)
@@ -140,7 +146,7 @@ def test_kernel_columns_annihilate(ring_and_bounds):
     for _ in range(25):
         a = random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4), **bounds)
         k = kernel_basis(a)
-        assert (a @ k).is_zero
+        assert (a @ k).is_zero()
         assert k.shape == (a.cols, a.cols - smith(a).rank)
 
 
@@ -193,6 +199,84 @@ def test_subquotient_smoke():
 def test_subquotient_precondition():
     with pytest.raises(PreconditionError):
         subquotient(RingMatrix.identity(Z, 2), M([[2, 0], [0, 3]]))
+
+
+def test_subquotient_precondition_partial_rank():
+    # rank-one outer: ker = span (1, -1); the first column of inner lies in
+    # it, the second does not
+    outer = M([[1, 1], [2, 2]])
+    with pytest.raises(PreconditionError):
+        subquotient(outer, M([[1, 1], [-1, 0]]))
+    sq = subquotient(outer, M([[2], [-2]]))
+    assert sq.invariants.torsion_factors == (z(2),)
+    assert sq.invariants.free_rank == 0
+
+
+# ---------------------------------------------------------------------------
+# subquotient against the three-Smith route it replaced
+
+
+def three_smith_subquotient(outer, inner):
+    """Kernel basis, a solve in that basis, then Smith of the relations."""
+    assert (outer @ inner).is_zero()
+    gens = kernel_basis(outer)
+    rel = LinearSolver(gens).solve_matrix(inner)
+    assert rel is not None
+    dec = smith(rel)
+    factors = list(dec.invariant_factors) + \
+        [outer.ring.zero] * (gens.cols - dec.rank)
+    return gens, rel, ModuleInvariants.build(outer.ring, factors)
+
+
+def hom_pairs(W, divisors, seed, count):
+    """Seeded pairs of conjugated sums of one to three elementary objects."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = (conjugate_factorization(
+            elementary_sum(W, rng.choices(divisors, k=rng.randint(1, 3))), rng)
+            for _ in range(2))
+        yield hom_differentials(a, b)
+
+
+def _gf3_case():
+    x, y = gf(GF3, "x"), gf(GF3, "x+1")
+    return x ** 3 * y ** 2, [x, x ** 2, y, x * y, x ** 2 * y, x * y ** 2]
+
+
+ORACLE_CASES = [
+    (z(360), [z(d) for d in (2, 3, 4, 6, 12, 30, 60, 120)], 5),
+    (*_gf3_case(), 6),
+]
+
+
+@pytest.mark.parametrize("W, divisors, seed", ORACLE_CASES, ids=["Z", "GF3"])
+def test_subquotient_matches_three_smith_oracle(W, divisors, seed):
+    for d_even, d_odd in hom_pairs(W, divisors, seed, 6):
+        for outer, inner in ((d_even, d_odd), (d_odd, d_even)):
+            sq = subquotient(outer, inner)
+            gens, rel, inv = three_smith_subquotient(outer, inner)
+            assert sq.generators == gens
+            assert sq.relations == rel
+            assert sq.invariants == inv
+
+
+def test_hmf_hom_runs_four_smith_decompositions(monkeypatch):
+    # the package attribute smithfact.smith is the function; the module
+    # that subquotient looks smith up in is only reachable via sys.modules
+    module = sys.modules["smithfact.smith"]
+    calls = []
+    real = module.smith
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(module, "smith", counting)
+    W = z(360)
+    a, b = (elementary_sum(W, [z(d) for d in ds])
+            for ds in ((2, 12), (6, 60, 4)))
+    hmf_hom(a, b)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
