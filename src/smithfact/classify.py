@@ -326,7 +326,9 @@ def primary_decompose(a: MatrixFactorization,
 
     Each elementary factor e_d contributes (p, i) for every critical prime
     p with 1 <= i <= n_p - 1, i the multiplicity of p in d; everything else
-    about d is a zero object and contributes nothing.
+    about d is a zero object and contributes nothing.  Every d divides W,
+    so the multiplicities are read by repeated exact division by the
+    critical primes, with no further factoring.
     """
     if cd is None:
         cd = critical_decompose(a.W)
@@ -334,11 +336,12 @@ def primary_decompose(a: MatrixFactorization,
         raise ValidationError("critical data belongs to a different W")
     labels = []
     for d in strong_decompose(a).factors:
-        if d.is_unit:
-            continue
-        for p, e in factorize(d).factors:
-            n = cd.order_of(p)
-            if n is not None and 1 <= e <= n - 1:
+        for p, n in cd.critical:
+            e = 0
+            while e < n and divides(p, d):
+                d = exact_div(d, p)
+                e += 1
+            if 1 <= e <= n - 1:
                 labels.append((p, e))
     return MfClass.from_labels(cd, labels)
 

@@ -120,6 +120,7 @@ class RingMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 

@@ -16,6 +16,7 @@ classification layers deterministic.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -244,7 +245,7 @@ class GFPolynomialRing(Ring):
     """
 
     def __init__(self, p: int):
-        if p < 2 or not _int_is_prime(p):
+        if not _int_is_prime(p):
             raise ValidationError(f"modulus must be prime, got {p}")
         self.p = p
         self.name = f"GF({p})[x]"
@@ -414,19 +415,6 @@ def ring_from_text(text: str) -> Ring:
         except (ValueError, ValidationError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown ring declaration: {text!r}")
-
-
-def _int_is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class RingElement:
@@ -651,9 +639,18 @@ def exact_div(a: RingElement, b: RingElement) -> RingElement:
 def factorize(a: RingElement) -> PrimeFactorization:
     """Unit times prime powers, primes canonical and strictly increasing.
 
-    Deterministic trial division: divisor candidates are enumerated in the
-    canonical total order, so every divisor found is automatically prime and
-    the factor list comes out sorted.
+    Over Z: trial division by the primes below 1000, then a perfect-power
+    check by integer k-th roots, then Brent's rho (Brent 1980) with the
+    fixed constants c = 1, 2, ... on each composite cofactor.  Every prime
+    returned is certified by deterministic Miller-Rabin on the 13 prime
+    bases up to 41, which is exact below psi_13 = 3317044064679887385961981
+    (Sorenson and Webster 2015).  A cofactor at or beyond psi_13 that passes
+    Miller-Rabin, or that rho cannot split within a fixed step budget,
+    raises ``PreconditionError`` (CLI exit code 4) rather than run on.
+
+    Over GF(p)[x]: deterministic trial division, with divisor candidates
+    enumerated in the canonical total order, so every divisor found is
+    automatically prime and the factor list comes out sorted.
     """
     if a.is_zero:
         raise PreconditionError("cannot factor 0")
@@ -661,34 +658,202 @@ def factorize(a: RingElement) -> PrimeFactorization:
     coa = normalize(a)
     rest = coa.canonical.payload
     unit = RingElement(ring, ring._unit_inv(coa.unit.payload))
-    factors: list[tuple[RingElement, int]] = []
-    if not ring._is_unit(rest):
-        for d in ring._trial_divisors():
-            if ring._trial_exceeds(d, rest):
+    if ring._is_unit(rest):
+        pairs = []
+    elif isinstance(ring, IntegerRing):
+        pairs = _int_factor(rest)
+    else:
+        pairs = _trial_factor(ring, rest)
+    return PrimeFactorization(
+        unit=unit, factors=tuple((RingElement(ring, p), e) for p, e in pairs))
+
+
+def _trial_factor(ring: Ring, rest) -> list[tuple[object, int]]:
+    """Prime powers of a canonical non-unit payload by trial division.
+
+    The factorizer for GF(p)[x] and the test oracle for Z.  Quotients of
+    canonical payloads by canonical divisors stay canonical, so nothing is
+    left over once ``rest`` becomes a unit.
+    """
+    factors = []
+    for d in ring._trial_divisors():
+        if ring._trial_exceeds(d, rest):
+            break
+        e = 0
+        while True:
+            q, r = ring._divmod(rest, d)
+            if not ring._is_zero(r):
                 break
-            e = 0
-            while True:
-                q, r = ring._divmod(rest, d)
-                if not ring._is_zero(r):
-                    break
-                rest = q
-                e += 1
-            if e:
-                factors.append((RingElement(ring, d), e))
-            if ring._is_unit(rest):
+            rest = q
+            e += 1
+        if e:
+            factors.append((d, e))
+        if ring._is_unit(rest):
+            return factors
+    # leftover cofactor is prime (no divisor up to its square root)
+    factors.append((rest, 1))
+    return factors
+
+
+# -- factoring over Z -----------------------------------------------------------
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = bytes(2)
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i in range(n) if flags[i])
+
+
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_MR_BASES = _SMALL_PRIMES[:13]              # 2, 3, 5, ..., 41
+_MR_LIMIT = 3317044064679887385961981      # psi_13, Sorenson-Webster 2015
+_RHO_BATCH = 128        # rho steps per gcd
+_RHO_MAX_STEPS = 1 << 23  # beyond _MR_LIMIT only; see _rho_split
+
+
+def _int_is_prime(n: int) -> bool:
+    """Certified primality of an integer n >= 0.
+
+    Deterministic Miller-Rabin on the bases ``_MR_BASES``, which no
+    composite below ``_MR_LIMIT`` passes.  A larger n that passes every base
+    cannot be certified either way and raises ``PreconditionError``.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-        if not ring._is_unit(rest):
-            # leftover cofactor is prime (no divisor up to its square root)
-            factors.append((RingElement(ring, rest), 1))
         else:
-            unit = unit * RingElement(ring, rest)
-    return PrimeFactorization(unit=unit, factors=tuple(factors))
+            return False
+    if n >= _MR_LIMIT:
+        raise PreconditionError(
+            f"cannot certify a {n.bit_length()}-bit probable prime: "
+            f"Miller-Rabin is exact only below {_MR_LIMIT}")
+    return True
+
+
+def _int_factor(n: int) -> list[tuple[int, int]]:
+    """Prime powers of an integer n >= 2, primes ascending (see factorize)."""
+    found: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+    # every prime factor left is at least _TRIAL_BOUND, or n is 1 or prime
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        m, e = pending.pop()
+        root, k = _perfect_power(m)
+        if k > 1:
+            pending.append((root, e * k))
+        elif _int_is_prime(m):
+            found[m] = found.get(m, 0) + e
+        else:
+            d = _rho_split(m)
+            pending += [(d, e), (m // d, e)]
+    return sorted(found.items())
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1 and k >= 2.
+
+    Newton's method from a floating-point start just above the root, taken
+    from the leading 64 or more bits of n, so it converges in a few steps.
+    """
+    t = max(0, (n.bit_length() - 64) // k)
+    top = n >> (k * t)
+    x = (int(2 ** (math.log2(top) / k) * (1 + 2 ** -40)) + 1) << t
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with r**k == m and k >= 2 the least such prime, or (m, 1).
+
+    m is prime or has no prime factor below _TRIAL_BOUND = 1000, so only k
+    with 1000**k <= m can occur, and those satisfy 9*k < m.bit_length().
+    """
+    for k in _primes_below(m.bit_length() // 9 + 1):
+        r = _iroot(m, k)
+        if r ** k == m:
+            return r, k
+    return m, 1
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of an odd composite n that is not a perfect power.
+
+    Brent's rho on the walks x -> x*x + c from x = 2, for c = 1, 2, ... in
+    turn, so the result is deterministic.  The differences are multiplied
+    together and one gcd is taken per _RHO_BATCH steps; a batch that
+    overshoots to gcd n is retraced one step at a time.
+
+    Below _MR_LIMIT the smallest prime factor is below 1.9e12, which rho
+    finds in about two million steps, so it runs to the end.  From
+    _MR_LIMIT on it raises PreconditionError once a step budget has found
+    no divisor: _RHO_MAX_STEPS, scaled down for large n by the cost of a
+    step.
+    """
+    # a step costs about 1 + (bits // 256)**2 times a step on a small n
+    budget = _RHO_MAX_STEPS // (1 + (n.bit_length() // 256) ** 2)
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > budget and n >= _MR_LIMIT:
+                raise PreconditionError(
+                    f"Pollard-Brent rho found no divisor of a "
+                    f"{n.bit_length()}-bit composite within {budget} steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_prime(a: RingElement) -> bool:
-    """Prime (irreducible) in its ring instance."""
+    """Prime (irreducible) in its ring instance; certified over Z as in
+    ``factorize``, with the same PreconditionError beyond psi_13."""
     if a.is_zero or a.is_unit:
         return False
+    if isinstance(a.ring, IntegerRing):
+        return _int_is_prime(abs(a.payload))
     f = factorize(a)
     return len(f.factors) == 1 and f.factors[0][1] == 1
 

@@ -1,6 +1,7 @@
 """Classification: strong invariants, cones, hom modules, primary labels."""
 
 import random
+import sys
 
 import pytest
 
@@ -277,6 +278,25 @@ def test_primary_decompose_multiset():
     a = direct_sum(e(2, 12), e(6, 12))
     c = primary_decompose(a)
     assert [(str(p), i) for p, i in c.labels] == [("2", 1), ("2", 1)]
+
+
+def test_primary_decompose_factors_nothing_given_cd(monkeypatch):
+    x, xp1 = GF3.parse("x"), GF3.parse("x + 1")
+    W3 = x**3 * xp1**2
+    cases = [
+        (direct_sum(e(12, 360), e(30, 360)), critical_decompose(z(360)),
+         [("2", 1), ("2", 2), ("3", 1), ("3", 1)]),
+        (direct_sum(elementary(x**2 * xp1, W3), elementary(xp1**2, W3)),
+         critical_decompose(W3), [("x", 2), ("x+1", 1)]),
+    ]
+    calls = []
+    # patch the module primary_decompose reads factorize from
+    monkeypatch.setattr(sys.modules["smithfact.classify"], "factorize",
+                        calls.append)
+    for obj, cd, expected in cases:
+        c = primary_decompose(obj, cd)
+        assert [(p.text(), i) for p, i in c.labels] == expected
+    assert calls == []
 
 
 def test_primary_decompose_rejects_foreign_cd():

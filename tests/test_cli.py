@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,26 @@ def test_snf_huge_literal_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+def test_snf_large_prime_modulus(capsys):
+    code, out, err, seconds = timed_run(
+        capsys, "snf", "--ring", "GF(1000000000000000003)[x]", "[[1]]")
+    assert code == 0, err
+    assert json.loads(out)["invariant_factors"] == ["1"]
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("modulus", [
+    "1000000000000000001",          # 101 * 9901 * 999999000001
+    "3317044064679887385961981",    # psi_13: passes Miller-Rabin to 41
+], ids=["composite", "psi13"])
+def test_snf_modulus_not_certified_prime_exit_2(capsys, modulus):
+    code, out, err = run(capsys, "snf", "--ring", f"GF({modulus})[x]",
+                         "[[1]]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_snf_stdin(capsys, monkeypatch):
     import io
 
@@ -127,6 +148,34 @@ def test_classify_precondition_exit_4(capsys):
     code, out, err = run(capsys, "classify", doc)
     assert code == 4
     assert "precondition" in err
+
+
+def timed_run(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+def test_classify_large_critical_prime(capsys):
+    # W = 2 * p^2 with p = 10^12 + 39: trial division needs ~5*10^11 steps
+    p = 10**12 + 39
+    doc = json.dumps({"W": str(2 * p * p), "ring": "Z",
+                      "elementary": str(p)})
+    code, out, err, seconds = timed_run(capsys, "classify", "--format",
+                                        "json", doc)
+    assert code == 0, err
+    assert json.loads(out)["labels"] == [[str(p), 1]]
+    assert seconds < 2
+
+
+def test_classify_uncertifiable_cofactor_exit_4(capsys):
+    # 2^89 - 1 is prime but past the range where Miller-Rabin is exact
+    doc = json.dumps({"W": str(2 * (2**89 - 1)), "ring": "Z",
+                      "elementary": "2"})
+    code, out, err = run(capsys, "classify", doc)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("precondition violated:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +275,14 @@ def test_quiver_nonprime_exit(capsys):
 def test_quiver_bad_n_exit(capsys):
     code, out, err = run(capsys, "quiver", "2", "1")
     assert code == 3
+
+
+def test_quiver_large_prime(capsys):
+    code, out, err, seconds = timed_run(capsys, "quiver",
+                                        "1000000000000000003", "2")
+    assert code == 0, err
+    assert "V2" in out
+    assert seconds < 2
 
 
 # ---------------------------------------------------------------------------

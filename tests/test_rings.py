@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smithfact.rings as rings
+
 from smithfact import (
     ZZ as Z,
     ParseError,
@@ -231,6 +233,114 @@ def test_is_prime():
     assert not is_prime(z(1)) and not is_prime(z(6)) and not is_prime(Z.zero)
     assert is_prime(GF2.parse("x^2 + x + 1"))
     assert not is_prime(GF2.parse("x^2 + 1"))  # (x+1)^2
+
+
+# ---------------------------------------------------------------------------
+# the certified Z factorizer against the trial-division oracle
+
+PSI13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+def oracle(n: int) -> list[tuple[int, int]]:
+    """Prime powers of |n| by the generic trial-division loop."""
+    n = abs(n)
+    return [] if n == 1 else rings._trial_factor(Z, n)
+
+
+def fast(n: int) -> list[tuple[int, int]]:
+    return [(p.payload, e) for p, e in factorize(z(n)).factors]
+
+
+def next_prime(n: int) -> int:
+    while oracle(n) != [(n, 1)]:
+        n += 1
+    return n
+
+
+def test_factorize_matches_oracle_on_seeded_sweep():
+    import random
+
+    rng = random.Random(11)
+    sample = list(range(-300, 301)) + [rng.randint(-10**7, 10**7)
+                                       for _ in range(400)]
+    for n in sample:
+        if n:
+            assert fast(n) == oracle(n), n
+            assert factorize(z(n)).unit == z(-1 if n < 0 else 1)
+
+
+def test_factorize_products_of_large_primes():
+    small = [next_prime(10**6), next_prime(10**6 + 100)]
+    big = [999999999989, 1000000000039]
+    for p in big:  # the oracle certifies them; sqrt(p) is 10**6
+        assert oracle(p) == [(p, 1)]
+    p, q = small
+    for n in (p * q, p**2, p**3, p**2 * q, 2**5 * 3 * p**2):
+        assert fast(n) == oracle(n), n
+    P, Q = big
+    cases = {
+        P * Q: [(P, 1), (Q, 1)],
+        P**2: [(P, 2)],
+        P**3: [(P, 3)],
+        q**3 * P**2: [(q, 3), (P, 2)],
+        p * Q**2: [(p, 1), (Q, 2)],
+        2 * 3**4 * q**3 * P: [(2, 1), (3, 4), (q, 3), (P, 1)],
+    }
+    for n, expected in cases.items():
+        assert fast(n) == expected, n
+
+
+def test_iroot_brackets_the_root():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(500):
+        k = rng.randint(2, 40)
+        n = rng.getrandbits(rng.randint(1, 2000)) + 1
+        r = rings._iroot(n, k)
+        assert r**k <= n < (r + 1)**k, (n, k)
+    for r in (2, 1009, 10**12 + 39):
+        for k in (2, 3, 7):
+            assert rings._iroot(r**k, k) == r
+            assert rings._iroot(r**k - 1, k) == r - 1
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # least strong pseudoprimes to the first 4, 9 and 12 prime bases; the
+    # last passes every base up to 37 and is caught by 41
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(z(n))
+    assert is_prime(z(10**12 + 39)) and is_prime(z(2**61 - 1))
+
+
+def test_is_prime_over_z_does_not_factor(monkeypatch):
+    def refuse(a):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(rings, "factorize", refuse)
+    assert is_prime(z(1000000000000000003))
+    assert not is_prime(z(1000000000000000001))
+
+
+def test_uncertifiable_cofactor_raises():
+    with pytest.raises(PreconditionError, match="cannot certify"):
+        factorize(z(PSI13))
+    with pytest.raises(PreconditionError, match="cannot certify"):
+        is_prime(z(2**89 - 1))  # prime, but past the certified range
+    with pytest.raises(PreconditionError, match="cannot certify"):
+        factorize(z(6 * (2**89 - 1)**2))
+    # a composite past the range is still split, each prime certified
+    p, q, P = next_prime(10**6), next_prime(10**6 + 100), 10**12 + 39
+    assert p**2 * q * P >= PSI13
+    assert fast(p**2 * q * P) == [(p, 2), (q, 1), (P, 1)]
+
+
+def test_rho_step_budget_applies_past_certified_range(monkeypatch):
+    monkeypatch.setattr(rings, "_RHO_MAX_STEPS", 64)
+    p, P, Q = next_prime(10**6), 999999999989, 1000000000039
+    with pytest.raises(PreconditionError, match="within 64 steps"):
+        factorize(z(p * P * Q))  # >= psi_13, no split within 64 steps
+    assert fast(p * Q) == [(p, 1), (Q, 1)]  # below psi_13: runs to the end
 
 
 # ---------------------------------------------------------------------------
