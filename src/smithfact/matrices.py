@@ -3,6 +3,11 @@
 Row-major, immutable, sized matrices; zero-dimensional shapes are legal and
 behave like the corresponding empty (co)products.  Entry arithmetic is exact,
 so matrix products and determinants are exact too.
+
+The kernels ``@``, ``det`` and ``kron`` compute on raw payloads with the
+ring's primitives bound to locals on each call: they unwrap their inputs
+once and wrap each output entry once, so no ``RingElement`` is built or
+operated on in their inner loops.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .rings import Ring, RingElement, exact_div, same_ring
+from .rings import Ring, RingElement, _not_dividing, same_ring
 
 __all__ = ["RingMatrix", "kron"]
 
@@ -166,18 +171,21 @@ class RingMatrix:
             raise ValidationError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        ring = self.ring
+        add, mul = ring._add, ring._mul
+        zero = ring._from_int(0)
         m, k, n = self.rows, self.cols, other.cols
-        zero = self.ring.zero
+        a = [e.payload for e in self.entries]
+        b_cols = [[e.payload for e in other.entries[j::n]] for j in range(n)]
         out = []
-        a, b = self.entries, other.entries
         for i in range(m):
             arow = a[i * k:(i + 1) * k]
-            for j in range(n):
+            for col in b_cols:
                 acc = zero
-                for t in range(k):
-                    acc = acc + arow[t] * b[t * n + j]
-                out.append(acc)
-        return RingMatrix(self.ring, m, n, out)
+                for p, q in zip(arow, col):
+                    acc = add(acc, mul(p, q))
+                out.append(RingElement(ring, acc))
+        return RingMatrix(ring, m, n, out)
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, self.cols, self.rows,
@@ -192,27 +200,38 @@ class RingMatrix:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
         if not self.is_square():
             raise PreconditionError("determinant of a non-square matrix")
+        ring = self.ring
         n = self.rows
         if n == 0:
-            return self.ring.one
-        m = [list(self.row(i)) for i in range(n)]
+            return ring.one
+        sub, mul, divmod_ = ring._sub, ring._mul, ring._divmod
+        zero = ring._from_int(0)
+        pay = [e.payload for e in self.entries]
+        m = [pay[i * n:(i + 1) * n] for i in range(n)]
         sign = 1
-        prev = self.ring.one
+        prev = ring._from_int(1)
         for k in range(n - 1):
-            if m[k][k].is_zero:
+            if m[k][k] == zero:
                 pivot_row = next(
-                    (i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+                    (i for i in range(k + 1, n) if m[i][k] != zero), None)
                 if pivot_row is None:
-                    return self.ring.zero
+                    return ring.zero
                 m[k], m[pivot_row] = m[pivot_row], m[k]
                 sign = -sign
+            mk = m[k]
+            pivot = mk[k]
             for i in range(k + 1, n):
+                mi = m[i]
+                lead = mi[k]
                 for j in range(k + 1, n):
-                    m[i][j] = exact_div(
-                        m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            prev = m[k][k]
+                    num = sub(mul(mi[j], pivot), mul(lead, mk[j]))
+                    q, r = divmod_(num, prev)
+                    if r != zero:  # Bareiss divisions are exact
+                        raise _not_dividing(ring, prev, num)
+                    mi[j] = q
+            prev = pivot
         d = m[n - 1][n - 1]
-        return -d if sign < 0 else d
+        return RingElement(ring, ring._neg(d) if sign < 0 else d)
 
     def is_unit_determinant(self) -> bool:
         return self.det().is_unit
@@ -242,11 +261,15 @@ def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Kronecker product; (a kron b)[(i*rb+r), (j*cb+s)] = a[i,j] * b[r,s]."""
     if a.ring != b.ring:
         raise ValidationError("matrices over different rings")
+    ring = a.ring
+    mul = ring._mul
+    ap = [e.payload for e in a.entries]
+    bp = [e.payload for e in b.entries]
     out = []
     for i in range(a.rows):
+        arow = ap[i * a.cols:(i + 1) * a.cols]
         for r in range(b.rows):
-            for j in range(a.cols):
-                aij = a.entry(i, j)
-                for s in range(b.cols):
-                    out.append(aij * b.entry(r, s))
-    return RingMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, out)
+            brow = bp[r * b.cols:(r + 1) * b.cols]
+            for p in arow:
+                out.extend(RingElement(ring, mul(p, q)) for q in brow)
+    return RingMatrix(ring, a.rows * b.rows, a.cols * b.cols, out)

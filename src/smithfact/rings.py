@@ -178,6 +178,9 @@ class IntegerRing(Ring):
     def _add(self, a, b):
         return a + b
 
+    def _sub(self, a, b):
+        return a - b
+
     def _neg(self, a):
         return -a
 
@@ -203,7 +206,12 @@ class IntegerRing(Ring):
         return k
 
     def _format(self, a):
-        return str(a)
+        try:  # str() refuses ints past the int-to-str digit limit
+            return str(a)
+        except ValueError as exc:
+            raise PreconditionError(
+                f"cannot print a {abs(a).bit_length()}-bit integer: it has "
+                f"more digits than the int-to-str limit allows") from exc
 
     def _parse_payload(self, text):
         try:
@@ -630,10 +638,16 @@ def exact_div(a: RingElement, b: RingElement) -> RingElement:
         raise PreconditionError("exact division by zero")
     q, r = ring._divmod(a.payload, b.payload)
     if not ring._is_zero(r):
-        raise PreconditionError(
-            f"{b.text()} does not divide {a.text()} in {ring.name}"
-        )
+        raise _not_dividing(ring, b.payload, a.payload)
     return RingElement(ring, q)
+
+
+def _not_dividing(ring: Ring, b, a) -> PreconditionError:
+    """The error of an exact division of payload a by payload b that left a
+    remainder; shared with the payload kernels in ``matrices`` and
+    ``smith``."""
+    return PreconditionError(
+        f"{ring._format(b)} does not divide {ring._format(a)} in {ring.name}")
 
 
 def factorize(a: RingElement) -> PrimeFactorization:

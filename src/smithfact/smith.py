@@ -4,7 +4,8 @@ The decomposition returned by :func:`smith` satisfies U * A = D * V exactly,
 with U and V of unit determinant, D diagonal with canonical entries forming
 a divisibility chain d1 | d2 | ... | dr.  The inverse of V is tracked during
 the reduction (columns beyond the rank are a kernel basis), so linear systems
-over the ring are solvable from the same data.
+over the ring are solvable from the same data.  The reduction works on raw
+payloads; ``RingElement`` values appear only in its input and output.
 
 Determinantal invariants (gcds of k x k minors) provide an independent
 oracle for the invariant factors on inputs up to MINOR_ORACLE_CAP; larger
@@ -18,8 +19,8 @@ from itertools import combinations
 
 from .errors import PreconditionError, ValidationError
 from .matrices import RingMatrix
-from .rings import (Ring, RingElement, divides, exact_div, factorize,
-                    gcd_bezout, normalize)
+from .rings import (Ring, RingElement, _not_dividing, divides, exact_div,
+                    factorize, gcd_bezout, normalize)
 
 __all__ = [
     "SmithDecomposition",
@@ -80,70 +81,84 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     entry of the remaining submatrix, that row is merged into the pivot row
     and the pass repeats, which strictly shrinks the pivot and also makes the
     divisibility chain hold by construction.
+
+    The reduction runs on rows of raw payloads with the ring's primitives
+    bound to locals; each Bezout block takes its certificate from
+    ``gcd_bezout``, and the results are wrapped once at the end.
     """
     ring = a.ring
+    add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
+    sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
+    zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
-    B = [list(a.row(i)) for i in range(m)]
-    eye = RingMatrix.identity
-    U = [list(eye(ring, m).row(i)) for i in range(m)]
-    V = [list(eye(ring, n).row(i)) for i in range(n)]
-    Vi = [list(eye(ring, n).row(i)) for i in range(n)]
+    entries = [e.payload for e in a.entries]
+    B = [entries[i * n:(i + 1) * n] for i in range(m)]
+    U = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    Vi = [row[:] for row in V]
+
+    def quotient(x, g):
+        q, r = divmod_(x, g)
+        if r != zero:
+            raise _not_dividing(ring, g, x)
+        return q
+
+    def bezout_block(av, bv):
+        """(x, y, s, t) with x*a + y*b = g, s = a/g and t = b/g exact."""
+        cert = gcd_bezout(RingElement(ring, av), RingElement(ring, bv))
+        g = cert.g.payload
+        s = quotient(av, g)
+        t = quotient(bv, g)
+        return cert.x.payload, cert.y.payload, s, t
 
     def row_swap(i, j):
         B[i], B[j] = B[j], B[i]
         U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            B[r][i], B[r][j] = B[r][j], B[r][i]
-        for r in range(n):
-            Vi[r][i], Vi[r][j] = Vi[r][j], Vi[r][i]
+        for row in B:
+            row[i], row[j] = row[j], row[i]
+        for row in Vi:
+            row[i], row[j] = row[j], row[i]
         V[i], V[j] = V[j], V[i]
 
     def row_combine(i, j):
         """Left-multiply rows (i, j) by [[x, y], [-b/g, a/g]] for the pivot
         column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0."""
-        av, bv = B[i][k], B[j][k]
-        cert = gcd_bezout(av, bv)
-        s = exact_div(av, cert.g)
-        t = exact_div(bv, cert.g)
-        x, y = cert.x, cert.y
+        x, y, s, t = bezout_block(B[i][k], B[j][k])
         for mat in (B, U):
             ri, rj = mat[i], mat[j]
-            mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            mat[j] = [s * q - t * p for p, q in zip(ri, rj)]
+            mat[i] = [add(mul(x, p), mul(y, q)) for p, q in zip(ri, rj)]
+            mat[j] = [sub(mul(s, q), mul(t, p)) for p, q in zip(ri, rj)]
 
     def col_combine(i, j):
         """Right-multiply columns (i, j) by the analogous Bezout block for
         the pivot row entries a = B[k][i], b = B[k][j]."""
-        av, bv = B[k][i], B[k][j]
-        cert = gcd_bezout(av, bv)
-        s = exact_div(av, cert.g)
-        t = exact_div(bv, cert.g)
-        x, y = cert.x, cert.y
+        x, y, s, t = bezout_block(B[k][i], B[k][j])
         for mat in (B, Vi):
-            for r in range(len(mat)):
-                p, q = mat[r][i], mat[r][j]
-                mat[r][i] = x * p + y * q
-                mat[r][j] = s * q - t * p
+            for row in mat:
+                p, q = row[i], row[j]
+                row[i] = add(mul(x, p), mul(y, q))
+                row[j] = sub(mul(s, q), mul(t, p))
         ri, rj = V[i], V[j]
-        V[i] = [s * p + t * q for p, q in zip(ri, rj)]
-        V[j] = [x * q - y * p for p, q in zip(ri, rj)]
+        V[i] = [add(mul(s, p), mul(t, q)) for p, q in zip(ri, rj)]
+        V[j] = [sub(mul(x, q), mul(y, p)) for p, q in zip(ri, rj)]
 
     def row_add_into_pivot(i):
         # row_k += row_i ; same left transform applied to U
-        B[k] = [p + q for p, q in zip(B[k], B[i])]
-        U[k] = [p + q for p, q in zip(U[k], U[i])]
+        B[k] = [add(p, q) for p, q in zip(B[k], B[i])]
+        U[k] = [add(p, q) for p, q in zip(U[k], U[i])]
 
     k = 0
     while k < min(m, n):
         # deterministic pivot: smallest canonical nonzero entry, row-major
         best = None
         for i in range(k, m):
+            row = B[i]
             for j in range(k, n):
-                e = B[i][j]
-                if not e.is_zero:
-                    key = e.sort_key()
+                e = row[j]
+                if e != zero:
+                    key = sort_key(e)
                     if best is None or key < best[0]:
                         best = (key, i, j)
         if best is None:
@@ -155,41 +170,41 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             col_swap(k, pj)
         while True:
             for i in range(k + 1, m):
-                if not B[i][k].is_zero:
+                if B[i][k] != zero:
                     row_combine(k, i)
             for j in range(k + 1, n):
-                if not B[k][j].is_zero:
+                if B[k][j] != zero:
                     col_combine(k, j)
-            if any(not B[i][k].is_zero for i in range(k + 1, m)):
+            if any(B[i][k] != zero for i in range(k + 1, m)):
                 continue  # column refilled by the column pass
             d = B[k][k]
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if not divides(d, B[i][j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(k + 1, m)
+                 if any(divmod_(e, d)[1] != zero for e in B[i][k + 1:])),
+                None)
             if offender is None:
                 break
             row_add_into_pivot(offender)
-        u = normalize(B[k][k]).unit
-        if not u.is_unit or u != ring.one:
-            B[k] = [u * e for e in B[k]]
-            U[k] = [u * e for e in U[k]]
+        u = canonical_unit(B[k][k])
+        if u != one:
+            B[k] = [mul(u, e) for e in B[k]]
+            U[k] = [mul(u, e) for e in U[k]]
         k += 1
 
+    def wrap(rows, cols, payload_rows):
+        return RingMatrix(ring, rows, cols, [RingElement(ring, e)
+                                             for row in payload_rows
+                                             for e in row])
+
     rank = k
-    factors = tuple(B[i][i] for i in range(rank))
-    d_mat = RingMatrix.diagonal(ring, factors, rows=m, cols=n)
+    factors = tuple(RingElement(ring, B[i][i]) for i in range(rank))
     return SmithDecomposition(
-        U=RingMatrix.from_rows(ring, U),
-        V=RingMatrix.from_rows(ring, V),
-        D=d_mat,
+        U=wrap(m, m, U),
+        V=wrap(n, n, V),
+        D=RingMatrix.diagonal(ring, factors, rows=m, cols=n),
         rank=rank,
         invariant_factors=factors,
-        v_inv=RingMatrix.from_rows(ring, Vi),
+        v_inv=wrap(n, n, Vi),
     )
 
 

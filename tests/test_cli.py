@@ -79,6 +79,17 @@ def test_snf_huge_literal_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+def test_snf_output_past_digit_limit_exit_4(capsys):
+    # 3000-digit entries parse, but the second invariant factor, their
+    # product, has 6000 digits and cannot be printed
+    a, b = 10 ** 2999 + 1, 10 ** 2999 + 3
+    doc = json.dumps({"ring": "Z", "entries": [[str(a), "0"], ["0", str(b)]]})
+    code, out, err = run(capsys, "snf", doc)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("precondition violated:") and err.count("\n") == 1
+
+
 def test_snf_large_prime_modulus(capsys):
     code, out, err, seconds = timed_run(
         capsys, "snf", "--ring", "GF(1000000000000000003)[x]", "[[1]]")
