@@ -24,14 +24,13 @@ from .factorizations import (MatrixFactorization, MfMorphism, Triangle,
                              elementary, elementary_morphism,
                              hom_differentials, identity_morphism, is_cocycle,
                              is_null_homotopic, null_homotopy_witness,
-                             scale_potential, suspend_morphism, suspension,
-                             zero_morphism)
+                             suspend_morphism, suspension, zero_morphism)
 from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
                        cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
                        hmf_iso, hom_subquotients, induced_hom_iso, is_iso,
                        is_iso_by_induced_homs, is_zero_object, localize_class,
-                       merge_pair, primary_decompose, primary_test_objects,
+                       primary_decompose, primary_test_objects,
                        strong_decompose, strong_iso, suspend_class)
 from .artinian import (ARQuiver, ARSequence, CyclicDecomposition,
                        LambdaContext, ar_quiver, ar_sequence, cok_crosscheck,
@@ -59,10 +58,10 @@ __all__ = [
     "MatrixFactorization", "MfMorphism", "Triangle",
     "elementary", "elementary_morphism", "identity_morphism", "zero_morphism",
     "compose", "is_cocycle", "suspension", "suspend_morphism", "direct_sum",
-    "scale_potential", "hom_differentials",
+    "hom_differentials",
     "null_homotopy_witness", "is_null_homotopic", "cone", "cone_triangle",
     "CriticalData", "critical_decompose", "critical_ideal_generator",
-    "StrongDecomposition", "strong_decompose", "strong_iso", "merge_pair",
+    "StrongDecomposition", "strong_decompose", "strong_iso",
     "is_zero_object", "cone_split", "is_iso", "HomModules", "hmf_hom",
     "hom_subquotients", "induced_hom_iso", "is_iso_by_induced_homs",
     "MfClass", "primary_decompose", "hmf_iso", "localize_class",

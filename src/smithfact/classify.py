@@ -20,7 +20,7 @@ from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              direct_sum, hom_differentials)
 from .matrices import RingMatrix
 from .rings import (RingElement, divides, exact_div, factorize, gcd, gcd_all,
-                    lcm, normalize, same_ring)
+                    normalize)
 from .smith import (ModuleInvariants, Subquotient, _kernel_coordinates, smith,
                     subquotient)
 
@@ -31,7 +31,6 @@ __all__ = [
     "StrongDecomposition",
     "strong_decompose",
     "strong_iso",
-    "merge_pair",
     "is_zero_object",
     "cone_split",
     "is_iso",
@@ -159,16 +158,6 @@ def strong_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
     if a.rho != b.rho:
         return False
     return smith(a.v).invariant_factors == smith(b.v).invariant_factors
-
-
-def merge_pair(v1: RingElement, v2: RingElement,
-               W: RingElement) -> tuple[RingElement, RingElement]:
-    """e_v1 + e_v2 = e_gcd + e_lcm as objects; returns (gcd, lcm)."""
-    same_ring(v1, v2, W)
-    for v in (v1, v2):
-        if v.is_zero or not divides(v, W):
-            raise PreconditionError(f"{v.text()} is not a divisor of {W.text()}")
-    return gcd(v1, v2), lcm(v1, v2)
 
 
 def is_zero_object(a: MatrixFactorization) -> bool:

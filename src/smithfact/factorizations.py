@@ -7,7 +7,10 @@ object.  Morphisms are even maps (f00, f11) commuting with the differentials;
 the odd solutions of the same commutation pattern are the null homotopies.
 
 All constructors re-validate, so no invalid object can be produced through
-the public surface.
+the public surface.  The checks are cheap enough for the many rank-one and
+rank-two objects that classification builds: rings are interned and compared
+by identity, and u*v = v*u = W*I and the commutation conditions are compared
+on the payload lists of the products, with no wrapped matrix built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
-from .matrices import RingMatrix, kron
+from .matrices import RingMatrix, _product_payloads, kron
 from .rings import RingElement, exact_div, gcd, same_ring
 from .smith import LinearSolver
 
@@ -27,7 +30,6 @@ __all__ = [
     "suspension",
     "suspend_morphism",
     "direct_sum",
-    "scale_potential",
     "elementary_morphism",
     "identity_morphism",
     "zero_morphism",
@@ -49,13 +51,15 @@ class MatrixFactorization:
     def __init__(self, W: RingElement, u: RingMatrix, v: RingMatrix):
         if W.is_zero:
             raise ValidationError("the factored element W must be non-zero")
-        if u.ring != W.ring or v.ring != W.ring:
+        ring = W.ring
+        if u.ring is not ring or v.ring is not ring:
             raise ValidationError("factors must live over W's ring")
         if not (u.is_square() and v.is_square() and u.rows == v.rows):
             raise ValidationError("u and v must be square of equal size")
         rho = u.rows
-        wi = RingMatrix.identity(W.ring, rho).scale(W)
-        if u @ v != wi or v @ u != wi:
+        w, zero = W.payload, ring._from_int(0)
+        wi = [w if i == j else zero for i in range(rho) for j in range(rho)]
+        if _product_payloads(u, v) != wi or _product_payloads(v, u) != wi:
             raise ValidationError("u*v = v*u = W*I fails")
         self.W = W
         self.rho = rho
@@ -124,13 +128,12 @@ class MfMorphism:
             raise ValidationError("morphism endpoints factor different elements")
         shape = (target.rho, source.rho)
         for part in (f00, f11):
-            if part.ring != source.ring:
+            if part.ring is not source.ring:
                 raise ValidationError("components over the wrong ring")
             if part.shape != shape:
                 raise ValidationError(
                     f"component shape {part.shape}, expected {shape}")
-        if (target.v @ f11 != f00 @ source.v
-                or target.u @ f00 != f11 @ source.u):
+        if not _commutes(source, target, f00, f11):
             raise ValidationError("components do not commute with the "
                                   "differentials")
         self.source = source
@@ -152,10 +155,17 @@ class MfMorphism:
                 f"of {self.source.W.text()}>")
 
 
+def _commutes(source: MatrixFactorization, target: MatrixFactorization,
+              f00: RingMatrix, f11: RingMatrix) -> bool:
+    """v2*f11 = f00*v1 and u2*f00 = f11*u1, compared on payloads."""
+    return (_product_payloads(target.v, f11) == _product_payloads(f00, source.v)
+            and _product_payloads(target.u, f00)
+            == _product_payloads(f11, source.u))
+
+
 def is_cocycle(f: MfMorphism) -> bool:
     """Re-check the commutation conditions on the stored components."""
-    return (f.target.v @ f.f11 == f.f00 @ f.source.v
-            and f.target.u @ f.f00 == f.f11 @ f.source.u)
+    return _commutes(f.source, f.target, f.f00, f.f11)
 
 
 def identity_morphism(a: MatrixFactorization) -> MfMorphism:
@@ -215,15 +225,6 @@ def direct_sum(a: MatrixFactorization,
         RingMatrix.block([[a.u, za], [zb, b.u]]),
         RingMatrix.block([[a.v, za], [zb, b.v]]),
     )
-
-
-def scale_potential(a: MatrixFactorization,
-                    s: RingElement) -> MatrixFactorization:
-    """Unit rescale: (u, s*v) factors s*W; grading and morphisms untouched."""
-    same_ring(s, a.W)
-    if not s.is_unit:
-        raise PreconditionError("scale factor must be a unit")
-    return MatrixFactorization(s * a.W, a.u, a.v.scale(s))
 
 
 def hom_differentials(a1: MatrixFactorization,

@@ -153,7 +153,7 @@ def parse_factorization(obj, ring: Ring | None = None) -> MatrixFactorization:
         _expect(key in data, f"factorization lacks \"{key}\"")
     u = parse_matrix(data["u"], ring)
     v = parse_matrix(data["v"], ring)
-    _expect(u.ring == ring and v.ring == ring,
+    _expect(u.ring is ring and v.ring is ring,
             "u and v must live in the factorization's ring")
     return MatrixFactorization(W, u, v)
 
@@ -194,7 +194,7 @@ def parse_morphism(obj, ring: Ring | None = None) -> MfMorphism:
         _expect(W == src.W, "top-level W disagrees with the source")
     f00 = parse_matrix(data["f00"], ring)
     f11 = parse_matrix(data["f11"], ring)
-    _expect(f00.ring == src.ring and f11.ring == src.ring,
+    _expect(f00.ring is src.ring and f11.ring is src.ring,
             "components must live in the endpoints' ring")
     return MfMorphism(src, dst, f00, f11)
 

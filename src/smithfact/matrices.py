@@ -7,7 +7,9 @@ so matrix products and determinants are exact too.
 The kernels ``@``, ``det`` and ``kron`` compute on raw payloads with the
 ring's primitives bound to locals on each call: they unwrap their inputs
 once and wrap each output entry once, so no ``RingElement`` is built or
-operated on in their inner loops.
+operated on in their inner loops.  ``_product_payloads`` is the body of
+``@`` without the wrapping, for callers that only compare the product.
+Rings are interned, so every ring check here is an identity test.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class RingMatrix:
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
         for e in entries:
-            if not isinstance(e, RingElement) or e.ring != ring:
+            if not isinstance(e, RingElement) or e.ring is not ring:
                 raise ValidationError("matrix entries must share the matrix ring")
         self.ring = ring
         self.rows = rows
@@ -85,15 +87,15 @@ class RingMatrix:
         """Assemble from a 2-d grid of blocks with consistent shapes."""
         if not grid or not grid[0]:
             raise PreconditionError("empty block grid")
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValidationError("ragged block grid")
         ring = grid[0][0].ring
         row_heights = [row[0].rows for row in grid]
         col_widths = [b.cols for b in grid[0]]
         rows_out: list[list[RingElement]] = []
         for bi, row in enumerate(grid):
-            if len(row) != len(col_widths):
-                raise ValidationError("ragged block grid")
             for bj, blk in enumerate(row):
-                if blk.ring != ring:
+                if blk.ring is not ring:
                     raise ValidationError("blocks over different rings")
                 if blk.rows != row_heights[bi] or blk.cols != col_widths[bj]:
                     raise ValidationError("inconsistent block shapes")
@@ -137,7 +139,7 @@ class RingMatrix:
     def _same_shape(self, other: "RingMatrix"):
         if not isinstance(other, RingMatrix):
             raise ValidationError("expected a RingMatrix")
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise ValidationError("matrices over different rings")
         if other.shape != self.shape:
             raise ValidationError(f"shape mismatch: {self.shape} vs {other.shape}")
@@ -163,29 +165,10 @@ class RingMatrix:
                           [s * a for a in self.entries])
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        if not isinstance(other, RingMatrix):
-            raise ValidationError("expected a RingMatrix")
-        if other.ring != self.ring:
-            raise ValidationError("matrices over different rings")
-        if self.cols != other.rows:
-            raise ValidationError(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
+        out = _product_payloads(self, other)
         ring = self.ring
-        add, mul = ring._add, ring._mul
-        zero = ring._from_int(0)
-        m, k, n = self.rows, self.cols, other.cols
-        a = [e.payload for e in self.entries]
-        b_cols = [[e.payload for e in other.entries[j::n]] for j in range(n)]
-        out = []
-        for i in range(m):
-            arow = a[i * k:(i + 1) * k]
-            for col in b_cols:
-                acc = zero
-                for p, q in zip(arow, col):
-                    acc = add(acc, mul(p, q))
-                out.append(RingElement(ring, acc))
-        return RingMatrix(ring, m, n, out)
+        return RingMatrix(ring, self.rows, other.cols,
+                          [RingElement(ring, p) for p in out])
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(self.ring, self.cols, self.rows,
@@ -239,7 +222,7 @@ class RingMatrix:
     # -- comparisons and display ----------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, RingMatrix) and other.ring == self.ring
+        return (isinstance(other, RingMatrix) and other.ring is self.ring
                 and other.shape == self.shape and other.entries == self.entries)
 
     def __hash__(self):
@@ -257,9 +240,34 @@ class RingMatrix:
         return f"<RingMatrix {self.rows}x{self.cols} over {self.ring.name}>"
 
 
+def _product_payloads(a: RingMatrix, b: RingMatrix) -> list:
+    """Row-major payloads of the product a*b."""
+    if not isinstance(b, RingMatrix):
+        raise ValidationError("expected a RingMatrix")
+    if b.ring is not a.ring:
+        raise ValidationError("matrices over different rings")
+    if a.cols != b.rows:
+        raise ValidationError(f"cannot multiply {a.shape} by {b.shape}")
+    ring = a.ring
+    add, mul = ring._add, ring._mul
+    zero = ring._from_int(0)
+    k, n = a.cols, b.cols
+    ap = [e.payload for e in a.entries]
+    b_cols = [[e.payload for e in b.entries[j::n]] for j in range(n)]
+    out = []
+    for i in range(a.rows):
+        arow = ap[i * k:(i + 1) * k]
+        for col in b_cols:
+            acc = zero
+            for p, q in zip(arow, col):
+                acc = add(acc, mul(p, q))
+            out.append(acc)
+    return out
+
+
 def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Kronecker product; (a kron b)[(i*rb+r), (j*cb+s)] = a[i,j] * b[r,s]."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise ValidationError("matrices over different rings")
     ring = a.ring
     mul = ring._mul

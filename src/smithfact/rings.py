@@ -171,9 +171,15 @@ class Ring:
 
 
 class IntegerRing(Ring):
-    """Arbitrary-precision integers; canonical associates are non-negative."""
+    """Arbitrary-precision integers; canonical associates are non-negative.
+
+    There is one instance: ``IntegerRing()`` returns ``ZZ``.
+    """
 
     name = "Z"
+
+    def __new__(cls):
+        return ZZ
 
     def _add(self, a, b):
         return a + b
@@ -237,26 +243,21 @@ class IntegerRing(Ring):
     def _trial_exceeds(self, d, rest):
         return d * d > abs(rest)
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
-
 
 class GFPolynomialRing(Ring):
     """Univariate polynomials over GF(p), p a small prime.
 
     Payloads are tuples of coefficients in ascending degree, reduced mod p,
     with no trailing zeros; the zero polynomial is the empty tuple.
-    Canonical associates are monic.
+    Canonical associates are monic.  There is one instance per p:
+    ``GFPolynomialRing(p)`` returns the cached ``gf_polynomial_ring(p)``.
     """
 
-    def __init__(self, p: int):
-        if not _int_is_prime(p):
-            raise ValidationError(f"modulus must be prime, got {p}")
-        self.p = p
-        self.name = f"GF({p})[x]"
+    def __new__(cls, p: int):
+        return gf_polynomial_ring(p)
+
+    def __reduce__(self):
+        return gf_polynomial_ring, (self.p,)
 
     @staticmethod
     def _strip(coeffs) -> tuple:
@@ -393,19 +394,20 @@ class GFPolynomialRing(Ring):
     def _trial_exceeds(self, d, rest):
         return 2 * (len(d) - 1) > len(rest) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, GFPolynomialRing) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("GF[x]", self.p))
-
-
-ZZ = IntegerRing()
+# Rings are interned, so they compare and hash by identity.  The instances
+# are made with ``object.__new__`` because the constructors return them.
+ZZ = object.__new__(IntegerRing)
 
 
 @functools.lru_cache(maxsize=None)
 def gf_polynomial_ring(p: int) -> GFPolynomialRing:
-    return GFPolynomialRing(p)
+    if not _int_is_prime(p):
+        raise ValidationError(f"modulus must be prime, got {p}")
+    ring = object.__new__(GFPolynomialRing)
+    ring.p = p
+    ring.name = f"GF({p})[x]"
+    return ring
 
 
 _RING_TEXT = re.compile(r"^GF\((\d+)\)\[x\]$")
@@ -440,7 +442,7 @@ class RingElement:
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValidationError(
                     f"mixed ring instances: {self.ring.name} vs {other.ring.name}"
                 )
@@ -494,7 +496,7 @@ class RingElement:
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
-            return self.ring == other.ring and self.payload == other.payload
+            return self.ring is other.ring and self.payload == other.payload
         if isinstance(other, int):
             return self.payload == self.ring._from_int(other)
         return NotImplemented
@@ -536,7 +538,7 @@ def same_ring(*elems: RingElement) -> Ring:
         raise PreconditionError("no elements given")
     ring = elems[0].ring
     for e in elems[1:]:
-        if e.ring != ring:
+        if e.ring is not ring:
             raise ValidationError(
                 f"mixed ring instances: {ring.name} vs {e.ring.name}"
             )

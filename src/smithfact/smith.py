@@ -57,14 +57,22 @@ class SmithDecomposition:
     v_inv: RingMatrix
 
     def verify(self, a: RingMatrix) -> bool:
+        """Re-check every property of the certificate against ``a``.
+
+        ``V * v_inv = I`` makes V square with det V * det v_inv = 1, so it
+        also proves det V a unit; only det U is computed.
+        """
         ring = a.ring
+        chain = self.invariant_factors
+        if (self.rank != len(chain) or self.rank > min(a.rows, a.cols)
+                or self.D != RingMatrix.diagonal(ring, chain, a.rows, a.cols)):
+            return False
         if self.U @ a != self.D @ self.V:
             return False
         if self.V @ self.v_inv != RingMatrix.identity(ring, a.cols):
             return False
-        if not (self.U.is_unit_determinant() and self.V.is_unit_determinant()):
+        if not self.U.is_unit_determinant():
             return False
-        chain = self.invariant_factors
         for d in chain:
             if d.is_zero or normalize(d).canonical != d:
                 return False
@@ -253,7 +261,7 @@ def invariant_factors_via_delta(a: RingMatrix) -> tuple[RingElement, ...]:
 
 def equivalent(a: RingMatrix, b: RingMatrix) -> bool:
     """Same rank and invariant factors; dimension mismatch is an error."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise ValidationError("matrices over different rings")
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")

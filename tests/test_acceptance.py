@@ -10,6 +10,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from smithfact import (
     LambdaContext,
     ar_quiver,
@@ -158,6 +160,7 @@ def residue_system(W):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_04_cone_split_formula(capsys):
     start = time.perf_counter()
     total = 0
@@ -175,6 +178,7 @@ def test_criterion_04_cone_split_formula(capsys):
                    f"({total} cones exhaustive, 0 mismatches, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_iso_criterion_agreement(capsys):
     start = time.perf_counter()
     total = 0

@@ -18,6 +18,7 @@ from smithfact import (
     elementary,
     elementary_morphism,
     elementary_sum,
+    gcd,
     hmf_hom,
     hmf_iso,
     identity_morphism,
@@ -25,8 +26,8 @@ from smithfact import (
     is_iso,
     is_iso_by_induced_homs,
     is_zero_object,
+    lcm,
     localize_class,
-    merge_pair,
     primary_decompose,
     primary_test_objects,
     smith,
@@ -135,19 +136,11 @@ def test_strong_iso_conjugation_invariant():
     assert strong_iso(base, twin)
 
 
-def test_merge_pair():
-    assert merge_pair(z(2), z(6), z(12)) == (z(2), z(6))
-    assert merge_pair(z(2), z(3), z(36)) == (z(1), z(6))
-    assert merge_pair(z(4), z(6), z(72)) == (z(2), z(12))
-    with pytest.raises(PreconditionError):
-        merge_pair(z(5), z(2), z(12))
-
-
-def test_merge_pair_matches_strong_decompose():
+def test_strong_decompose_pair_is_gcd_lcm():
+    # e_v1 + e_v2 = e_gcd + e_lcm as objects
     for (v1, v2, W) in [(2, 6, 12), (2, 3, 36), (4, 6, 72), (8, 12, 72)]:
-        got = merge_pair(z(v1), z(v2), z(W))
         sd = strong_decompose(elementary_sum(z(W), [z(v1), z(v2)]))
-        assert sd.factors == got
+        assert sd.factors == (gcd(z(v1), z(v2)), lcm(z(v1), z(v2)))
 
 
 def test_is_zero_object():

@@ -105,6 +105,14 @@ def test_matrix_ring_key_wins_over_flag_default():
     assert a.ring is GF3
 
 
+def test_documents_share_the_ring_instance():
+    a = parse_matrix({"ring": "GF(7)[x]", "entries": [["x + 1", "3"]]})
+    b = parse_matrix({"ring": " GF(7)[x]", "entries": [["1 + x", "10"]]})
+    assert a.ring is b.ring
+    assert a == b
+    assert a @ b.transpose() == b @ a.transpose()
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 

@@ -40,6 +40,13 @@ def test_block_assembly():
     assert blk == M([[1, 0], [0, 2]])
 
 
+def test_block_ragged_grid():
+    a = M([[1]])
+    for grid in ([[a, a], [a]], [[a], []], [[a], [a, a]]):
+        with pytest.raises(ValidationError, match="ragged block grid"):
+            RingMatrix.block(grid)
+
+
 def test_arithmetic():
     a = M([[1, 2], [3, 4]])
     b = M([[5, 6], [7, 8]])

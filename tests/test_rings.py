@@ -1,5 +1,8 @@
 """Ring arithmetic, canonical forms, gcd certificates, factorization."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,8 @@ import smithfact.rings as rings
 
 from smithfact import (
     ZZ as Z,
+    GFPolynomialRing,
+    IntegerRing,
     ParseError,
     ValidationError,
     PreconditionError,
@@ -73,6 +78,20 @@ def test_from_int_wraps_modulo_p():
 def test_cross_ring_arithmetic_rejected():
     with pytest.raises(ValidationError):
         z(1) + GF3.parse("x")
+
+
+def test_rings_are_interned():
+    assert IntegerRing() is Z
+    gf7 = gf_polynomial_ring(7)
+    assert GFPolynomialRing(7) is gf7 is ring_from_text("GF(7)[x]")
+    assert ring_from_text(" GF(007)[x] ") is gf7
+    for ring in (Z, gf7):
+        assert copy.deepcopy(ring) is ring
+        assert pickle.loads(pickle.dumps(ring)) is ring
+    x = gf7.parse("x + 3")
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(ValidationError, match="modulus must be prime"):
+        GFPolynomialRing(9)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +366,7 @@ def test_rho_step_budget_applies_past_certified_range(monkeypatch):
 # kaplansky_solve: unimodular row completion data
 
 
+@pytest.mark.slow
 def test_kaplansky_exhaustive_small():
     # Whenever gcd(a,b,c) is a unit the returned pair satisfies
     # gcd(p*a, p*b + q*c) = unit.  Bounds match the documented sweep.

@@ -1,5 +1,6 @@
 """Normal form, minor-gcd oracle, kernels, cokernel presentations."""
 
+import dataclasses
 import random
 import sys
 
@@ -10,6 +11,7 @@ from smithfact import (
     LinearSolver,
     ModuleInvariants,
     RingMatrix,
+    SmithDecomposition,
     ValidationError,
     conjugate_factorization,
     determinantal_invariants,
@@ -63,6 +65,54 @@ def test_smith_identity_and_zero():
     dec = smith(zero)
     assert dec.rank == 0 and dec.invariant_factors == ()
     assert dec.verify(zero)
+
+
+def _bumped(m, i, j):
+    """m with 1 added to entry (i, j)."""
+    entries = list(m.entries)
+    entries[i * m.cols + j] = entries[i * m.cols + j] + 1
+    return RingMatrix(m.ring, m.rows, m.cols, entries)
+
+
+@pytest.mark.parametrize("ring", [Z, GF3], ids=lambda r: r.name)
+def test_verify_rejects_tampered_certificates(ring):
+    rng = random.Random(31)
+    a = random_matrix(ring, rng, 3, 3, int_bound=9, max_degree=2)
+    while smith(a).rank < 3:
+        a = random_matrix(ring, rng, 3, 3, int_bound=9, max_degree=2)
+    dec = smith(a)
+    assert dec.verify(a)
+    tampered = [
+        dataclasses.replace(dec, U=_bumped(dec.U, 1, 0)),
+        dataclasses.replace(dec, v_inv=_bumped(dec.v_inv, 0, 2)),
+        # U*A = D*V still holds; V*v_inv = 2*I does not
+        dataclasses.replace(dec, U=dec.U.scale(2), V=dec.V.scale(2)),
+    ]
+    for bad in tampered:
+        assert not bad.verify(a)
+
+
+def test_verify_rejects_non_unit_transforms_on_zero_matrix():
+    # with A = 0 the product check U*A = D*V holds for any U and V
+    zero = RingMatrix.zeros(Z, 2, 2)
+    dec = smith(zero)
+    assert dec.verify(zero)
+    assert not dataclasses.replace(dec, V=dec.V.scale(2)).verify(zero)
+    assert not dataclasses.replace(dec, U=dec.U.scale(2)).verify(zero)
+
+
+def test_verify_rejects_non_chain_D():
+    a = M([[2, 0], [0, 3]])
+    eye = RingMatrix.identity(Z, 2)
+    # U = V = I certifies A = D, but (2, 3) is not a divisibility chain
+    not_chain = SmithDecomposition(U=eye, V=eye, D=a, rank=2,
+                                   invariant_factors=(z(2), z(3)), v_inv=eye)
+    assert not not_chain.verify(a)
+    # the true factors (1, 6) with a D that is not diag(1, 6)
+    mismatched = dataclasses.replace(not_chain,
+                                     invariant_factors=(z(1), z(6)))
+    assert not mismatched.verify(a)
+    assert smith(a).invariant_factors == (z(1), z(6))
 
 
 def test_smith_diagonal_with_zero():
