@@ -11,7 +11,7 @@ from .errors import (ParseError, PreconditionError, SmithfactError,
 from .rings import (BezoutCertificate, CanonicalAssociate, GFPolynomialRing,
                     IntegerRing, PrimeFactorization, Ring, RingElement, ZZ,
                     divides, exact_div, factorize, gcd, gcd_all, gcd_bezout,
-                    gf_polynomial_ring, is_prime, kaplansky_solve, lcm,
+                    gf_polynomial_ring, is_prime, lcm,
                     normalize, ring_from_text, same_ring)
 from .matrices import RingMatrix, kron
 from .smith import (LinearSolver, MINOR_ORACLE_CAP, ModuleInvariants,
@@ -49,7 +49,7 @@ __all__ = [
     "gf_polynomial_ring", "ring_from_text", "same_ring", "normalize",
     "CanonicalAssociate", "BezoutCertificate", "PrimeFactorization",
     "gcd", "gcd_all", "gcd_bezout", "lcm", "divides", "exact_div",
-    "factorize", "is_prime", "kaplansky_solve",
+    "factorize", "is_prime",
     "RingMatrix", "kron",
     "SmithDecomposition", "smith", "MINOR_ORACLE_CAP",
     "determinantal_invariants", "invariant_factors_via_delta", "equivalent",

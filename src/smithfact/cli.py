@@ -3,8 +3,9 @@
 Subcommands wrap the library one-to-one: snf, classify, iso, cone, hom,
 quiver, plus a seeded demo walkthrough.  Inputs are inline JSON, a file
 path, or "-" for standard input.  Output is byte-deterministic for a fixed
-invocation.  Exit codes: 0 success, 2 parse error, 3 validation error,
-4 precondition violation.
+invocation.  Exit codes: 0 success, 2 parse error or an unusable file
+argument (unreadable or non-UTF-8 input, unwritable --out), 3 validation
+error, 4 precondition violation.
 """
 
 from __future__ import annotations
@@ -35,12 +36,15 @@ def _read_text(source: str) -> str:
     stripped = source.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         return stripped
-    if stripped == "-":
-        return sys.stdin.read()
-    path = Path(source)
-    if not path.exists():
-        raise ParseError(f"input file not found: {source}")
-    return path.read_text(encoding="utf-8")
+    try:
+        if stripped == "-":
+            return sys.stdin.read()
+        path = Path(source)
+        if not path.exists():
+            raise ParseError(f"input file not found: {source}")
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input {source}: {exc}") from None
 
 
 def _load_json(source: str):
@@ -359,8 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write output {out}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -372,7 +379,7 @@ def main(argv=None) -> int:
         code = exc.code or 0
         return code if isinstance(code, int) else 2
     try:
-        text = args.handler(args)
+        _emit(args.handler(args), args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -382,7 +389,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
     return 0
 
 

@@ -4,6 +4,9 @@ The three concrete classes map onto the CLI exit codes: parse errors exit 2,
 validation errors exit 3, precondition errors exit 4.
 """
 
+__all__ = ["SmithfactError", "ParseError", "ValidationError",
+           "PreconditionError"]
+
 
 class SmithfactError(Exception):
     """Base class for all errors raised by this package."""

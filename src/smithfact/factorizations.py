@@ -9,8 +9,10 @@ the odd solutions of the same commutation pattern are the null homotopies.
 All constructors re-validate, so no invalid object can be produced through
 the public surface.  The checks are cheap enough for the many rank-one and
 rank-two objects that classification builds: rings are interned and compared
-by identity, and u*v = v*u = W*I and the commutation conditions are compared
-on the payload lists of the products, with no wrapped matrix built.
+by identity, matrices hold raw payloads, and each check costs one matrix
+product.  Over a domain u*v = W*I already implies v*u = W*I, and the first
+commutation condition implies the second (see ``MatrixFactorization`` and
+``_commutes``), so only one product of each pair is computed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
-from .matrices import RingMatrix, _product_payloads, kron
+from .matrices import RingMatrix, kron
 from .rings import RingElement, exact_div, gcd, same_ring
 from .smith import LinearSolver
 
@@ -44,7 +46,12 @@ __all__ = [
 
 
 class MatrixFactorization:
-    """(u, v) with u*v = v*u = W*I, both rho x rho over W's ring."""
+    """(u, v) with u*v = v*u = W*I, both rho x rho over W's ring.
+
+    Only u*v = W*I is checked: over a domain R with fraction field K,
+    det u * det v = W^rho != 0, so u is invertible over K, v = W*u^-1 and
+    v*u = W*I follows.
+    """
 
     __slots__ = ("W", "rho", "u", "v")
 
@@ -57,9 +64,7 @@ class MatrixFactorization:
         if not (u.is_square() and v.is_square() and u.rows == v.rows):
             raise ValidationError("u and v must be square of equal size")
         rho = u.rows
-        w, zero = W.payload, ring._from_int(0)
-        wi = [w if i == j else zero for i in range(rho) for j in range(rho)]
-        if _product_payloads(u, v) != wi or _product_payloads(v, u) != wi:
+        if u @ v != RingMatrix.diagonal(ring, [W] * rho):
             raise ValidationError("u*v = v*u = W*I fails")
         self.W = W
         self.rho = rho
@@ -109,8 +114,8 @@ def elementary(v: RingElement, W: RingElement) -> MatrixFactorization:
     u = exact_div(W, v)
     ring = W.ring
     return MatrixFactorization(W,
-                               RingMatrix(ring, 1, 1, [u]),
-                               RingMatrix(ring, 1, 1, [v]))
+                               RingMatrix(ring, 1, 1, [u.payload]),
+                               RingMatrix(ring, 1, 1, [v.payload]))
 
 
 class MfMorphism:
@@ -157,10 +162,13 @@ class MfMorphism:
 
 def _commutes(source: MatrixFactorization, target: MatrixFactorization,
               f00: RingMatrix, f11: RingMatrix) -> bool:
-    """v2*f11 = f00*v1 and u2*f00 = f11*u1, compared on payloads."""
-    return (_product_payloads(target.v, f11) == _product_payloads(f00, source.v)
-            and _product_payloads(target.u, f00)
-            == _product_payloads(f11, source.u))
+    """v2*f11 = f00*v1 and u2*f00 = f11*u1, by checking the first only.
+
+    If v2*f11 = f00*v1, then (u2*f00 - f11*u1)*v1 = u2*v2*f11 - f11*u1*v1
+    = W*f11 - W*f11 = 0, and v1 is non-singular (det u1 * det v1 = W^rho1
+    != 0 in a domain), so u2*f00 = f11*u1.
+    """
+    return target.v @ f11 == f00 @ source.v
 
 
 def is_cocycle(f: MfMorphism) -> bool:
@@ -199,8 +207,8 @@ def elementary_morphism(source: MatrixFactorization,
     same_ring(r, source.W)
     v1, v2 = source.v_scalar(), target.v_scalar()
     d = gcd(v1, v2)
-    f00 = RingMatrix(source.ring, 1, 1, [r * exact_div(v2, d)])
-    f11 = RingMatrix(source.ring, 1, 1, [r * exact_div(v1, d)])
+    f00 = RingMatrix(source.ring, 1, 1, [(r * exact_div(v2, d)).payload])
+    f11 = RingMatrix(source.ring, 1, 1, [(r * exact_div(v1, d)).payload])
     return MfMorphism(source, target, f00, f11)
 
 
@@ -263,13 +271,12 @@ def null_homotopy_witness(
         z = RingMatrix.zeros(f.ring, r2, r1)
         return (z, z)
     _, system = hom_differentials(f.source, f.target)
-    rhs = RingMatrix(f.ring, 2 * n, 1,
-                     list(f.f00.entries) + list(f.f11.entries))
+    rhs = RingMatrix(f.ring, 2 * n, 1, f.f00.payloads + f.f11.payloads)
     x = LinearSolver(system).solve_matrix(rhs)
     if x is None:
         return None
-    s01 = RingMatrix(f.ring, r2, r1, x.entries[:n])
-    s10 = RingMatrix(f.ring, r2, r1, x.entries[n:])
+    s01 = RingMatrix(f.ring, r2, r1, x.payloads[:n])
+    s10 = RingMatrix(f.ring, r2, r1, x.payloads[n:])
     return (s01, s10)
 
 

@@ -51,6 +51,11 @@ def _expect(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; ``true``/``false`` are bools, not counts."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _as_object(obj, what: str) -> dict:
     _expect(isinstance(obj, dict), f"{what} must be a JSON object")
     return obj
@@ -123,7 +128,7 @@ def parse_matrix(obj, ring: Ring | None = None) -> RingMatrix:
     rows = data.get("rows")
     cols = data.get("cols")
     for k, v in (("rows", rows), ("cols", cols)):
-        _expect(v is None or (isinstance(v, int) and v >= 0),
+        _expect(v is None or (_is_int(v) and v >= 0),
                 f"\"{k}\" must be a non-negative integer")
     got = _parse_grid(ring, data["entries"], rows, cols)
     _expect(cols is None or got.cols == cols,
@@ -239,7 +244,7 @@ def parse_class(obj, ring: Ring | None = None) -> MfClass:
         _expect(isinstance(item, list) and len(item) == 2,
                 "each label must be a [prime, size] pair")
         p_text, i = item
-        _expect(isinstance(i, int), "label size must be an integer")
+        _expect(_is_int(i), "label size must be an integer")
         labels.append((parse_element(ring, p_text), i))
     cd = critical_decompose(W)
     return MfClass.from_labels(cd, labels)
@@ -270,7 +275,7 @@ def parse_decomposition(obj, ring: Ring | None = None) -> CyclicDecomposition:
     ring = parse_ring(data.get("ring"), ring)
     for key in ("p", "n"):
         _expect(key in data, f"decomposition lacks \"{key}\"")
-    _expect(isinstance(data["n"], int), "\"n\" must be an integer")
+    _expect(_is_int(data["n"]), "\"n\" must be an integer")
     ctx = LambdaContext(parse_element(ring, data["p"]), data["n"])
     mult_raw = data.get("mult", {})
     _expect(isinstance(mult_raw, dict), "\"mult\" must be an object")
@@ -280,6 +285,6 @@ def parse_decomposition(obj, ring: Ring | None = None) -> CyclicDecomposition:
             i = int(key)
         except ValueError:
             raise ParseError(f"bad index key {key!r}") from None
-        _expect(isinstance(c, int), "multiplicities must be integers")
+        _expect(_is_int(c), "multiplicities must be integers")
         counts[i] = c
     return CyclicDecomposition.from_counts(ctx, counts)

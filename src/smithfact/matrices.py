@@ -4,83 +4,94 @@ Row-major, immutable, sized matrices; zero-dimensional shapes are legal and
 behave like the corresponding empty (co)products.  Entry arithmetic is exact,
 so matrix products and determinants are exact too.
 
-The kernels ``@``, ``det`` and ``kron`` compute on raw payloads with the
-ring's primitives bound to locals on each call: they unwrap their inputs
-once and wrap each output entry once, so no ``RingElement`` is built or
-operated on in their inner loops.  ``_product_payloads`` is the body of
-``@`` without the wrapping, for callers that only compare the product.
-Rings are interned, so every ring check here is an identity test.
+A matrix stores its entries as one row-major tuple of raw payloads, and the
+constructor checks only the shape.  Every kernel (``@``, ``det``, ``kron``,
+the entrywise operations, ``block``, ``transpose``) computes on payloads
+with the ring's primitives bound to locals, so the library's own results
+are never re-checked or wrapped entry by entry.  ``RingElement`` appears
+only at the edge: ``from_rows``, ``diagonal`` and ``scale`` accept elements
+or ints and check each element's ring once, and ``entries``, ``entry``,
+``row``, ``column`` and ``det`` wrap on the way out.  Rings are interned, so
+every ring check here is an identity test.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .rings import Ring, RingElement, _not_dividing, same_ring
+from .rings import Ring, RingElement, _not_dividing
 
 __all__ = ["RingMatrix", "kron"]
 
 
+def _payload(ring: Ring, e):
+    """Payload of an element of ``ring`` or of an int: the entry check."""
+    if isinstance(e, RingElement):
+        if e.ring is not ring:
+            raise ValidationError(
+                f"mixed ring instances: {ring.name} vs {e.ring.name}")
+        return e.payload
+    if isinstance(e, int):
+        return ring._from_int(e)
+    raise ValidationError("matrix entries must be ring elements or integers")
+
+
 class RingMatrix:
-    """An m x n matrix of RingElement values from a single ring."""
+    """An m x n matrix over a single ring, stored as row-major payloads."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "payloads")
 
-    def __init__(self, ring: Ring, rows: int, cols: int,
-                 entries: Sequence[RingElement]):
+    def __init__(self, ring: Ring, rows: int, cols: int, payloads: Iterable):
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be non-negative")
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
+        payloads = tuple(payloads)
+        if len(payloads) != rows * cols:
             raise ValidationError(
-                f"expected {rows * cols} entries, got {len(entries)}"
+                f"expected {rows * cols} entries, got {len(payloads)}"
             )
-        for e in entries:
-            if not isinstance(e, RingElement) or e.ring is not ring:
-                raise ValidationError("matrix entries must share the matrix ring")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.payloads = payloads
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "RingMatrix":
+        """From rows of elements of ``ring`` or ints."""
         m = len(rows)
         n = len(rows[0]) if m else 0
-        flat: list[RingElement] = []
+        flat = []
         for r in rows:
             if len(r) != n:
                 raise ValidationError("ragged rows")
-            for e in r:
-                flat.append(e if isinstance(e, RingElement) else ring.from_int(e))
+            flat.extend(_payload(ring, e) for e in r)
         return cls(ring, m, n, flat)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
-        return cls(ring, rows, cols, [ring.zero] * (rows * cols))
+        return cls(ring, rows, cols, (ring._from_int(0),) * (rows * cols))
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        z, o = ring.zero, ring.one
+        z, o = ring._from_int(0), ring._from_int(1)
         return cls(ring, n, n,
                    [o if i == j else z for i in range(n) for j in range(n)])
 
     @classmethod
-    def diagonal(cls, ring: Ring, diag: Sequence[RingElement],
+    def diagonal(cls, ring: Ring, diag: Sequence,
                  rows: int | None = None, cols: int | None = None) -> "RingMatrix":
+        """Diagonal of elements of ``ring`` or ints, padded with zeros."""
         k = len(diag)
         rows = k if rows is None else rows
         cols = k if cols is None else cols
         if k > min(rows, cols):
             raise ValidationError("diagonal longer than the matrix")
-        z = ring.zero
-        ent = [z] * (rows * cols)
+        pay = [ring._from_int(0)] * (rows * cols)
         for i, d in enumerate(diag):
-            ent[i * cols + i] = d
-        return cls(ring, rows, cols, ent)
+            pay[i * cols + i] = _payload(ring, d)
+        return cls(ring, rows, cols, pay)
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RingMatrix"]]) -> "RingMatrix":
@@ -92,7 +103,7 @@ class RingMatrix:
         ring = grid[0][0].ring
         row_heights = [row[0].rows for row in grid]
         col_widths = [b.cols for b in grid[0]]
-        rows_out: list[list[RingElement]] = []
+        flat: list = []
         for bi, row in enumerate(grid):
             for bj, blk in enumerate(row):
                 if blk.ring is not ring:
@@ -100,28 +111,29 @@ class RingMatrix:
                 if blk.rows != row_heights[bi] or blk.cols != col_widths[bj]:
                     raise ValidationError("inconsistent block shapes")
             for r in range(row_heights[bi]):
-                line: list[RingElement] = []
                 for blk in row:
                     base = r * blk.cols
-                    line.extend(blk.entries[base:base + blk.cols])
-                rows_out.append(line)
-        total_cols = sum(col_widths)
-        flat = [e for line in rows_out for e in line]
-        return cls(ring, sum(row_heights), total_cols, flat)
+                    flat.extend(blk.payloads[base:base + blk.cols])
+        return cls(ring, sum(row_heights), sum(col_widths), flat)
 
     # -- access ---------------------------------------------------------------
 
+    def _wrap(self, payloads) -> tuple[RingElement, ...]:
+        ring = self.ring
+        return tuple(RingElement(ring, p) for p in payloads)
+
+    @property
+    def entries(self) -> tuple[RingElement, ...]:
+        return self._wrap(self.payloads)
+
     def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i * self.cols + j]
+        return RingElement(self.ring, self.payloads[i * self.cols + j])
 
     def row(self, i: int) -> tuple[RingElement, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return self._wrap(self.payloads[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int) -> tuple[RingElement, ...]:
-        return self.entries[j::self.cols] if self.cols else ()
-
-    def to_lists(self) -> list[list[RingElement]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self._wrap(self.payloads[j::self.cols]) if self.cols else ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -129,7 +141,8 @@ class RingMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        zero = self.ring._from_int(0)
+        return all(p == zero for p in self.payloads)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -147,37 +160,52 @@ class RingMatrix:
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         self._same_shape(other)
         return RingMatrix(self.ring, self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
+                          map(self.ring._add, self.payloads, other.payloads))
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         self._same_shape(other)
         return RingMatrix(self.ring, self.rows, self.cols,
-                          [a - b for a, b in zip(self.entries, other.entries)])
+                          map(self.ring._sub, self.payloads, other.payloads))
 
     def __neg__(self) -> "RingMatrix":
         return RingMatrix(self.ring, self.rows, self.cols,
-                          [-a for a in self.entries])
+                          map(self.ring._neg, self.payloads))
 
     def scale(self, s) -> "RingMatrix":
-        s = s if isinstance(s, RingElement) else self.ring.from_int(s)
-        same_ring(s, *(self.entries or [self.ring.zero]))
+        """s times every entry; s is an element of the matrix ring or an int."""
+        s = _payload(self.ring, s)
+        mul = self.ring._mul
         return RingMatrix(self.ring, self.rows, self.cols,
-                          [s * a for a in self.entries])
+                          [mul(s, p) for p in self.payloads])
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
-        out = _product_payloads(self, other)
+        if not isinstance(other, RingMatrix):
+            raise ValidationError("expected a RingMatrix")
+        if other.ring is not self.ring:
+            raise ValidationError("matrices over different rings")
+        if self.cols != other.rows:
+            raise ValidationError(
+                f"cannot multiply {self.shape} by {other.shape}")
         ring = self.ring
-        return RingMatrix(ring, self.rows, other.cols,
-                          [RingElement(ring, p) for p in out])
+        add, mul = ring._add, ring._mul
+        zero = ring._from_int(0)
+        k, n = self.cols, other.cols
+        ap, bp = self.payloads, other.payloads
+        b_cols = [bp[j::n] for j in range(n)]
+        out = []
+        for i in range(self.rows):
+            arow = ap[i * k:(i + 1) * k]
+            for col in b_cols:
+                acc = zero
+                for p, q in zip(arow, col):
+                    acc = add(acc, mul(p, q))
+                out.append(acc)
+        return RingMatrix(ring, self.rows, n, out)
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, self.cols, self.rows,
-                          [self.entry(i, j)
-                           for j in range(self.cols) for i in range(self.rows)])
-
-    def map(self, fn: Callable[[RingElement], RingElement]) -> "RingMatrix":
-        return RingMatrix(self.ring, self.rows, self.cols,
-                          [fn(e) for e in self.entries])
+        c = self.cols
+        return RingMatrix(self.ring, c, self.rows,
+                          [p for j in range(c) for p in self.payloads[j::c]])
 
     def det(self) -> RingElement:
         """Determinant by fraction-free (Bareiss) elimination; exact."""
@@ -189,8 +217,8 @@ class RingMatrix:
             return ring.one
         sub, mul, divmod_ = ring._sub, ring._mul, ring._divmod
         zero = ring._from_int(0)
-        pay = [e.payload for e in self.entries]
-        m = [pay[i * n:(i + 1) * n] for i in range(n)]
+        pay = self.payloads
+        m = [list(pay[i * n:(i + 1) * n]) for i in range(n)]
         sign = 1
         prev = ring._from_int(1)
         for k in range(n - 1):
@@ -214,7 +242,7 @@ class RingMatrix:
                     mi[j] = q
             prev = pivot
         d = m[n - 1][n - 1]
-        return RingElement(ring, ring._neg(d) if sign < 0 else d)
+        return ring.element(ring._neg(d) if sign < 0 else d)
 
     def is_unit_determinant(self) -> bool:
         return self.det().is_unit
@@ -223,13 +251,16 @@ class RingMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and other.ring is self.ring
-                and other.shape == self.shape and other.entries == self.entries)
+                and other.shape == self.shape
+                and other.payloads == self.payloads)
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.rows, self.cols, self.payloads))
 
     def __str__(self):
-        rows = [[e.text() for e in self.row(i)] for i in range(self.rows)]
+        fmt, n = self.ring._format, self.cols
+        rows = [[fmt(p) for p in self.payloads[i * n:(i + 1) * n]]
+                for i in range(self.rows)]
         widths = [max((len(r[j]) for r in rows), default=0)
                   for j in range(self.cols)]
         lines = ["[" + "  ".join(c.rjust(w) for c, w in zip(r, widths)) + "]"
@@ -240,44 +271,17 @@ class RingMatrix:
         return f"<RingMatrix {self.rows}x{self.cols} over {self.ring.name}>"
 
 
-def _product_payloads(a: RingMatrix, b: RingMatrix) -> list:
-    """Row-major payloads of the product a*b."""
-    if not isinstance(b, RingMatrix):
-        raise ValidationError("expected a RingMatrix")
-    if b.ring is not a.ring:
-        raise ValidationError("matrices over different rings")
-    if a.cols != b.rows:
-        raise ValidationError(f"cannot multiply {a.shape} by {b.shape}")
-    ring = a.ring
-    add, mul = ring._add, ring._mul
-    zero = ring._from_int(0)
-    k, n = a.cols, b.cols
-    ap = [e.payload for e in a.entries]
-    b_cols = [[e.payload for e in b.entries[j::n]] for j in range(n)]
-    out = []
-    for i in range(a.rows):
-        arow = ap[i * k:(i + 1) * k]
-        for col in b_cols:
-            acc = zero
-            for p, q in zip(arow, col):
-                acc = add(acc, mul(p, q))
-            out.append(acc)
-    return out
-
-
 def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Kronecker product; (a kron b)[(i*rb+r), (j*cb+s)] = a[i,j] * b[r,s]."""
     if a.ring is not b.ring:
         raise ValidationError("matrices over different rings")
-    ring = a.ring
-    mul = ring._mul
-    ap = [e.payload for e in a.entries]
-    bp = [e.payload for e in b.entries]
+    mul = a.ring._mul
+    ap, bp = a.payloads, b.payloads
     out = []
     for i in range(a.rows):
         arow = ap[i * a.cols:(i + 1) * a.cols]
         for r in range(b.rows):
             brow = bp[r * b.cols:(r + 1) * b.cols]
             for p in arow:
-                out.extend(RingElement(ring, mul(p, q)) for q in brow)
-    return RingMatrix(ring, a.rows * b.rows, a.cols * b.cols, out)
+                out.extend(mul(p, q) for q in brow)
+    return RingMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, out)

@@ -43,7 +43,6 @@ __all__ = [
     "divides",
     "factorize",
     "is_prime",
-    "kaplansky_solve",
     "same_ring",
 ]
 
@@ -93,10 +92,6 @@ class Ring:
         raise NotImplementedError
 
     def _parse_payload(self, text: str):
-        raise NotImplementedError
-
-    def _payloads_by_size(self) -> Iterator:
-        """All payloads, 0 first, in weakly increasing canonical order."""
         raise NotImplementedError
 
     def _trial_divisors(self) -> Iterator:
@@ -224,14 +219,6 @@ class IntegerRing(Ring):
             return int(text.strip())
         except (ValueError, TypeError) as exc:
             raise ParseError(f"not an integer literal: {text!r}") from exc
-
-    def _payloads_by_size(self):
-        yield 0
-        n = 1
-        while True:
-            yield n
-            yield -n
-            n += 1
 
     def _trial_divisors(self):
         yield 2
@@ -368,17 +355,6 @@ class GFPolynomialRing(Ring):
         for e, c in coeffs.items():
             out[e] = c % self.p
         return self._strip(out)
-
-    def _payloads_by_size(self):
-        from itertools import product
-
-        yield ()
-        deg = 0
-        while True:
-            for low in product(range(self.p), repeat=deg):
-                for lead in range(1, self.p):
-                    yield low + (lead,)
-            deg += 1
 
     def _trial_divisors(self):
         # monic polynomials in increasing (degree, lex) order; trial division
@@ -873,34 +849,3 @@ def is_prime(a: RingElement) -> bool:
     f = factorize(a)
     return len(f.factors) == 1 and f.factors[0][1] == 1
 
-
-def kaplansky_solve(a: RingElement, b: RingElement,
-                    c: RingElement) -> tuple[RingElement, RingElement]:
-    """Find (p, q) with gcd(p*a, p*b + q*c) a unit, given gcd(a, b, c) a unit.
-
-    Tries q = 0 first; otherwise enumerates (p, q) over a growing box of
-    small elements.  Termination is guaranteed in the supported domains.
-    """
-    ring = same_ring(a, b, c)
-    g3 = gcd(gcd(a, b), c)
-    if not g3.is_unit:
-        raise PreconditionError(
-            f"gcd({a.text()}, {b.text()}, {c.text()}) = {g3.text()} is not a unit"
-        )
-    if gcd(a, b).is_unit:
-        return ring.one, ring.zero
-    elems: list[RingElement] = []
-    gen = ring._payloads_by_size()
-
-    def elem(i: int) -> RingElement:
-        while len(elems) <= i:
-            elems.append(RingElement(ring, next(gen)))
-        return elems[i]
-
-    s = 0
-    while True:
-        for i in range(s + 1):
-            p, q = elem(i), elem(s - i)
-            if gcd(p * a, p * b + q * c).is_unit:
-                return p, q
-        s += 1

@@ -51,9 +51,9 @@ def random_nonzero_element(ring: Ring, rng: Random, **kw) -> RingElement:
 
 def random_matrix(ring: Ring, rng: Random, rows: int, cols: int,
                   **kw) -> RingMatrix:
-    entries = [random_element(ring, rng, **kw)
-               for _ in range(rows * cols)]
-    return RingMatrix(ring, rows, cols, entries)
+    return RingMatrix(ring, rows, cols,
+                      [random_element(ring, rng, **kw).payload
+                       for _ in range(rows * cols)])
 
 
 def _random_unit(ring: Ring, rng: Random) -> RingElement:

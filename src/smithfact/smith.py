@@ -4,8 +4,9 @@ The decomposition returned by :func:`smith` satisfies U * A = D * V exactly,
 with U and V of unit determinant, D diagonal with canonical entries forming
 a divisibility chain d1 | d2 | ... | dr.  The inverse of V is tracked during
 the reduction (columns beyond the rank are a kernel basis), so linear systems
-over the ring are solvable from the same data.  The reduction works on raw
-payloads; ``RingElement`` values appear only in its input and output.
+over the ring are solvable from the same data.  The reduction works on the
+matrices' raw payloads; ``RingElement`` values appear only in the Bezout
+certificates it requests and in the invariant factors it returns.
 
 Determinantal invariants (gcds of k x k minors) provide an independent
 oracle for the invariant factors on inputs up to MINOR_ORACLE_CAP; larger
@@ -92,15 +93,14 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     The reduction runs on rows of raw payloads with the ring's primitives
     bound to locals; each Bezout block takes its certificate from
-    ``gcd_bezout``, and the results are wrapped once at the end.
+    ``gcd_bezout``, and U, V and v_inv are built from the payload rows.
     """
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
     sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
     zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
-    entries = [e.payload for e in a.entries]
-    B = [entries[i * n:(i + 1) * n] for i in range(m)]
+    B = [list(a.payloads[i * n:(i + 1) * n]) for i in range(m)]
     U = [[one if i == j else zero for j in range(m)] for i in range(m)]
     V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     Vi = [row[:] for row in V]
@@ -113,7 +113,7 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     def bezout_block(av, bv):
         """(x, y, s, t) with x*a + y*b = g, s = a/g and t = b/g exact."""
-        cert = gcd_bezout(RingElement(ring, av), RingElement(ring, bv))
+        cert = gcd_bezout(ring.element(av), ring.element(bv))
         g = cert.g.payload
         s = quotient(av, g)
         t = quotient(bv, g)
@@ -199,20 +199,15 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             U[k] = [mul(u, e) for e in U[k]]
         k += 1
 
-    def wrap(rows, cols, payload_rows):
-        return RingMatrix(ring, rows, cols, [RingElement(ring, e)
-                                             for row in payload_rows
-                                             for e in row])
-
     rank = k
-    factors = tuple(RingElement(ring, B[i][i]) for i in range(rank))
+    factors = tuple(ring.element(B[i][i]) for i in range(rank))
     return SmithDecomposition(
-        U=wrap(m, m, U),
-        V=wrap(n, n, V),
+        U=RingMatrix(ring, m, m, [e for row in U for e in row]),
+        V=RingMatrix(ring, n, n, [e for row in V for e in row]),
         D=RingMatrix.diagonal(ring, factors, rows=m, cols=n),
         rank=rank,
         invariant_factors=factors,
-        v_inv=wrap(n, n, Vi),
+        v_inv=RingMatrix(ring, n, n, [e for row in Vi for e in row]),
     )
 
 
@@ -236,8 +231,8 @@ def determinantal_invariants(a: RingMatrix) -> DeterminantalInvariants:
         g = ring.zero
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
-                minor = RingMatrix(ring, k, k,
-                                   [a.entry(i, j) for i in rows for j in cols])
+                minor = RingMatrix(ring, k, k, [a.payloads[i * a.cols + j]
+                                                for i in rows for j in cols])
                 g = gcd_bezout(g, minor.det()).g
                 # gcd already a unit: no smaller value possible
                 if g.is_unit:
@@ -277,8 +272,10 @@ def kernel_basis(a: RingMatrix) -> RingMatrix:
 def _kernel_columns(dec: SmithDecomposition) -> RingMatrix:
     """The columns of ``v_inv`` past the rank: a free basis of ker(A)."""
     vi, r = dec.v_inv, dec.rank
-    entries = [e for i in range(vi.rows) for e in vi.row(i)[r:]]
-    return RingMatrix(vi.ring, vi.rows, vi.cols - r, entries)
+    n = vi.cols
+    return RingMatrix(vi.ring, vi.rows, n - r,
+                      [p for i in range(vi.rows)
+                       for p in vi.payloads[i * n + r:(i + 1) * n]])
 
 
 def _kernel_coordinates(dec: SmithDecomposition,
@@ -288,9 +285,10 @@ def _kernel_coordinates(dec: SmithDecomposition,
     ``rank`` rows of V*x vanish, and x = v_inv*(V*x) gives the rest."""
     vx = dec.V @ x
     cut = dec.rank * vx.cols
-    if not all(e.is_zero for e in vx.entries[:cut]):
+    zero = vx.ring._from_int(0)
+    if any(p != zero for p in vx.payloads[:cut]):
         return None
-    return RingMatrix(vx.ring, vx.rows - dec.rank, vx.cols, vx.entries[cut:])
+    return RingMatrix(vx.ring, vx.rows - dec.rank, vx.cols, vx.payloads[cut:])
 
 
 @dataclass(frozen=True)
@@ -374,27 +372,26 @@ class LinearSolver:
         """X with A @ X = B, or None when no exact solution exists."""
         if b.rows != self.a.rows:
             raise ValidationError("right-hand side has the wrong height")
-        dec = self.dec
-        ub = dec.U @ b
-        n, t = self.a.cols, b.cols
-        zero = self.a.ring.zero
-        y = [[zero] * t for _ in range(n)]
-        for i in range(self.a.rows):
-            for j in range(t):
-                e = ub.entry(i, j)
-                if i < dec.rank:
-                    d = dec.invariant_factors[i]
-                    if not divides(d, e):
-                        return None
-                    y[i][j] = exact_div(e, d)
-                elif not e.is_zero:
+        dec, ring = self.dec, self.a.ring
+        divmod_, zero = ring._divmod, ring._from_int(0)
+        ub = (dec.U @ b).payloads
+        t = b.cols
+        cut = dec.rank * t
+        if any(p != zero for p in ub[cut:]):
+            return None
+        # y = D^+ (U b): row i < rank divided by d_i, the rows past it zero
+        y = []
+        for i, d in enumerate(dec.invariant_factors):
+            for p in ub[i * t:(i + 1) * t]:
+                q, r = divmod_(p, d.payload)
+                if r != zero:
                     return None
-        ymat = RingMatrix.from_rows(self.a.ring, y) if n else \
-            RingMatrix.zeros(self.a.ring, 0, t)
-        return dec.v_inv @ ymat
+                y.append(q)
+        y.extend([zero] * ((self.a.cols - dec.rank) * t))
+        return dec.v_inv @ RingMatrix(ring, self.a.cols, t, y)
 
     def solve_vector(self, b) -> list[RingElement] | None:
-        col = RingMatrix(self.a.ring, len(b), 1, list(b))
+        col = RingMatrix.from_rows(self.a.ring, [list(b)]).transpose()
         x = self.solve_matrix(col)
         return None if x is None else list(x.entries)
 

@@ -135,7 +135,7 @@ def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
             for t in range(k):
                 acc = acc + arow[t] * b.entries[t * n + j]
             out.append(acc)
-    return RingMatrix(a.ring, m, n, out)
+    return RingMatrix(a.ring, m, n, [e.payload for e in out])
 
 
 def det(a: RingMatrix):
@@ -171,4 +171,5 @@ def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
                 aij = a.entry(i, j)
                 for s in range(b.cols):
                     out.append(aij * b.entry(r, s))
-    return RingMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, out)
+    return RingMatrix(a.ring, a.rows * b.rows, a.cols * b.cols,
+                      [e.payload for e in out])

@@ -127,6 +127,24 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["invariant_factors"] == ["2"]
 
 
+def _file_argv(tmp_path, kind):
+    if kind == "directory":
+        return ["snf", str(tmp_path)]
+    if kind == "non-utf8":
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe[[1]]")
+        return ["snf", str(bad)]
+    return ["snf", "[[1]]", "--out", str(tmp_path / "missing" / "x.json")]
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "unwritable-out"])
+def test_unusable_file_argument_exit_2(capsys, tmp_path, kind):
+    code, out, err = run(capsys, *_file_argv(tmp_path, kind))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # classify
 

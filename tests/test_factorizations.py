@@ -269,7 +269,7 @@ def _perturbed(m, rng):
     bump = random_nonzero_element(m.ring, rng, int_bound=3, max_degree=1)
     entries = list(m.entries)
     entries[i] = entries[i] + bump
-    return RingMatrix(m.ring, m.rows, m.cols, entries)
+    return RingMatrix(m.ring, m.rows, m.cols, [e.payload for e in entries])
 
 
 def _conjugated(a, rng):
@@ -292,7 +292,8 @@ def _diagonal_morphism(a_divs, b_divs, W, rng):
             f00.append(r * exact_div(w, d))
             f11.append(r * exact_div(v, d))
     shape = (len(b_divs), len(a_divs))
-    return (RingMatrix(ring, *shape, f00), RingMatrix(ring, *shape, f11))
+    return (RingMatrix(ring, *shape, [e.payload for e in f00]),
+            RingMatrix(ring, *shape, [e.payload for e in f11]))
 
 
 def _accepts(build) -> bool:

@@ -244,6 +244,21 @@ def test_decomposition_roundtrip():
     assert back.mult == dec.mult
 
 
+@pytest.mark.parametrize("parse, doc", [
+    (parse_matrix, {"ring": "Z", "rows": True, "entries": [[1]]}),
+    (parse_matrix, {"ring": "Z", "cols": True, "entries": [[1]]}),
+    (parse_matrix, {"ring": "Z", "rows": False, "cols": False,
+                    "entries": []}),
+    (parse_class, {"ring": "Z", "W": "360", "labels": [["2", True]]}),
+    (parse_decomposition, {"ring": "Z", "p": "2", "n": True}),
+    (parse_decomposition, {"ring": "Z", "p": "2", "n": 3,
+                           "mult": {"1": True}}),
+], ids=["rows", "cols", "empty", "label", "n", "mult"])
+def test_booleans_are_not_counts(parse, doc):
+    with pytest.raises(ParseError, match="integer"):
+        parse(doc)
+
+
 def test_dumps_stable_and_newline_terminated():
     blob = {"b": 1, "a": 2}
     text = dumps(blob)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from smithfact import PreconditionError, RingMatrix, ValidationError, kron
+from smithfact import (PreconditionError, RingElement, RingMatrix,
+                       ValidationError, kron, smith)
 from conftest import GF3, Z, z
 
 
@@ -29,6 +30,7 @@ def test_constructors():
     assert eye.entry(0, 0) == z(1) and eye.entry(0, 1) == Z.zero
     d = RingMatrix.diagonal(Z, [z(2), z(3)])
     assert d == M([[2, 0], [0, 3]])
+    assert RingMatrix.diagonal(Z, [2, 3]) == d
     rect = RingMatrix.diagonal(Z, [z(5)], rows=2, cols=3)
     assert rect == M([[5, 0, 0], [0, 0, 0]])
 
@@ -105,8 +107,74 @@ def test_kron_mixed_product():
     assert kron(a @ c, b @ d) == kron(a, b) @ kron(c, d)
 
 
-def test_map_and_str():
+def test_str():
     a = M([[1, -2]])
-    doubled = a.map(lambda e: e + e)
-    assert doubled == M([[2, -4]])
     assert "1" in str(a) and "-2" in str(a)
+
+
+# ---------------------------------------------------------------------------
+# the element edge: entries are checked where elements come in, and the
+# payload kernels build no elements
+
+
+X = GF3.parse("x")
+EYE_GF3 = RingMatrix.identity(GF3, 2)
+
+MIXED_RING_CASES = {
+    "from_rows": lambda: RingMatrix.from_rows(Z, [[1, X]]),
+    "diagonal": lambda: RingMatrix.diagonal(Z, [z(1), X]),
+    "scale": lambda: M([[1, 2]]).scale(X),
+    "matmul": lambda: M([[1, 0], [0, 1]]) @ EYE_GF3,
+    "add": lambda: M([[1, 0], [0, 1]]) + EYE_GF3,
+    "sub": lambda: M([[1, 0], [0, 1]]) - EYE_GF3,
+    "kron": lambda: kron(M([[1]]), EYE_GF3),
+    "block": lambda: RingMatrix.block([[M([[1, 0], [0, 1]]), EYE_GF3]]),
+}
+
+
+@pytest.mark.parametrize("build", MIXED_RING_CASES.values(),
+                         ids=MIXED_RING_CASES.keys())
+def test_mixed_rings_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_non_element_entries_rejected():
+    with pytest.raises(ValidationError):
+        RingMatrix.from_rows(Z, [["3"]])
+    with pytest.raises(ValidationError):
+        RingMatrix.diagonal(Z, [1.5])
+
+
+@pytest.fixture
+def element_count(monkeypatch):
+    """A list whose length is the number of RingElement.__init__ calls."""
+    calls = []
+    real = RingElement.__init__
+
+    def counting(self, ring, payload):
+        calls.append(payload)
+        real(self, ring, payload)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    return calls
+
+
+def test_smith_builds_only_the_invariant_factors(element_count):
+    a = RingMatrix.diagonal(Z, [z(1), z(2), z(6)])
+    element_count.clear()
+    dec = smith(a)
+    assert len(element_count) == 3
+    assert [d.payload for d in dec.invariant_factors] == [1, 2, 6]
+
+
+def test_payload_kernels_build_no_elements(element_count):
+    a, b = M([[1, 2], [3, 4]]), M([[0, -1], [5, 7]])
+    element_count.clear()
+    a @ b
+    kron(a, b)
+    RingMatrix.block([[a, b], [b, a]])
+    a.transpose()
+    a + b
+    -a
+    assert element_count == []

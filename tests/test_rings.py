@@ -23,7 +23,6 @@ from smithfact import (
     gcd_bezout,
     gf_polynomial_ring,
     is_prime,
-    kaplansky_solve,
     lcm,
     normalize,
     ring_from_text,
@@ -361,42 +360,6 @@ def test_rho_step_budget_applies_past_certified_range(monkeypatch):
         factorize(z(p * P * Q))  # >= psi_13, no split within 64 steps
     assert fast(p * Q) == [(p, 1), (Q, 1)]  # below psi_13: runs to the end
 
-
-# ---------------------------------------------------------------------------
-# kaplansky_solve: unimodular row completion data
-
-
-@pytest.mark.slow
-def test_kaplansky_exhaustive_small():
-    # Whenever gcd(a,b,c) is a unit the returned pair satisfies
-    # gcd(p*a, p*b + q*c) = unit.  Bounds match the documented sweep.
-    for a in range(-30, 31):
-        for b in range(-30, 31):
-            for c in range(-30, 31):
-                ea, eb, ec = z(a), z(b), z(c)
-                if not gcd(gcd(ea, eb), ec).is_unit:
-                    continue
-                p, q = kaplansky_solve(ea, eb, ec)
-                assert gcd(p * ea, p * eb + q * ec).is_unit
-
-
-def test_kaplansky_named_cases():
-    assert kaplansky_solve(z(2), z(3), z(5)) == (z(1), Z.zero)
-    assert kaplansky_solve(z(1), z(10), z(15)) == (z(1), Z.zero)
-    a, b, c = z(6), z(10), z(15)
-    p, q = kaplansky_solve(a, b, c)
-    assert gcd(p * a, p * b + q * c).is_unit
-
-
-def test_kaplansky_precondition():
-    with pytest.raises(PreconditionError):
-        kaplansky_solve(z(2), z(4), z(6))
-
-
-def test_kaplansky_gf():
-    a, b, c = GF3.parse("x"), GF3.parse("x + 1"), GF3.parse("x^2")
-    p, q = kaplansky_solve(a, b, c)
-    assert gcd(p * a, p * b + q * c).is_unit
 
 
 # ---------------------------------------------------------------------------

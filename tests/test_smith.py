@@ -71,7 +71,7 @@ def _bumped(m, i, j):
     """m with 1 added to entry (i, j)."""
     entries = list(m.entries)
     entries[i * m.cols + j] = entries[i * m.cols + j] + 1
-    return RingMatrix(m.ring, m.rows, m.cols, entries)
+    return RingMatrix(m.ring, m.rows, m.cols, [e.payload for e in entries])
 
 
 @pytest.mark.parametrize("ring", [Z, GF3], ids=lambda r: r.name)
@@ -221,7 +221,7 @@ def test_linear_solver_vector():
     a = M([[1, 2], [3, 4]])
     sol = LinearSolver(a).solve_vector([z(5), z(11)])
     assert sol is not None
-    assert a @ RingMatrix(Z, 2, 1, sol) == M([[5], [11]])
+    assert a @ RingMatrix(Z, 2, 1, [e.payload for e in sol]) == M([[5], [11]])
 
 
 # ---------------------------------------------------------------------------
