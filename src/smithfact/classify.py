@@ -6,8 +6,14 @@ invariant factors of the v block, with the diagonalizing transform returned
 as a witness.  The homotopy layer is decided by Krull-Schmidt data: each
 object decomposes against the critical primes of W into primary elementary
 pieces e_{p^i}, and the multiset of labels (p, i) with 1 <= i < n_p is a
-complete invariant.  Hom modules in the homotopy category are computed from
-the cocycle/boundary subquotient, never from assumed closed forms.
+complete invariant.  Both layers are read from one Smith decomposition of
+v: the strong factors d_i make the object strongly isomorphic to the sum of
+the e_{d_i}, whose class ``MfClass.from_divisors`` reads off.  A validated
+object already guarantees what the strong layer needs (full rank, each d_i
+dividing W, the u half of the witness); the proofs are in the docstrings
+of ``strong_decompose`` and ``StrongDecomposition.witness_holds``.  Hom
+modules in the homotopy category are computed from the cocycle/boundary
+subquotient, never from assumed closed forms.
 """
 
 from __future__ import annotations
@@ -103,7 +109,8 @@ class StrongDecomposition:
 
     factors is the divisibility chain d1 | ... | d_rho; the block transform
     diag(even_transform, odd_transform) has unit determinant and conjugates
-    the differential onto the normal form's differential.
+    the differential onto the normal form's differential.  The transforms
+    are the U and V of the Smith form U * v = diag(factors) * V.
     """
 
     W: RingElement
@@ -121,31 +128,33 @@ class StrongDecomposition:
             RingMatrix.diagonal(ring, list(self.factors), rho, rho),
         )
 
-    def block_transform(self) -> RingMatrix:
-        ring = self.W.ring
-        rho = self.even_transform.rows
-        z = RingMatrix.zeros(ring, rho, rho)
-        return RingMatrix.block([[self.even_transform, z],
-                                 [z, self.odd_transform]])
-
     def witness_holds(self, a: MatrixFactorization) -> bool:
-        """block_transform * differential(a) = differential(normal form) *
-        block_transform, and both transform determinants are units."""
-        ud = self.block_transform()
-        if ud @ a.differential() != self.normal_form().differential() @ ud:
-            return False
-        return (self.even_transform.is_unit_determinant()
-                and self.odd_transform.is_unit_determinant())
+        """Whether diag(E, O) conjugates the differential of ``a`` onto the
+        normal form's, with E = even_transform, O = odd_transform.
+
+        Three checks: a factors this W, E * v = diag(factors) * O on rho x
+        rho blocks, and det E, det O are units.  The u half of the block
+        identity, O * u = diag(W/d) * E, follows: ``a`` is valid, so over
+        the fraction field u = W * v^-1, and E * v = D * O (D non-singular,
+        since v is) gives v^-1 = O^-1 * D^-1 * E, so O * u = W * D^-1 * E.
+        Without the W check an object over 2W with the same v would pass.
+        """
+        E, O = self.even_transform, self.odd_transform
+        return (a.W == self.W
+                and E @ a.v == RingMatrix.diagonal(self.W.ring,
+                                                   self.factors) @ O
+                and E.is_unit_determinant() and O.is_unit_determinant())
 
 
 def strong_decompose(a: MatrixFactorization) -> StrongDecomposition:
+    """The Smith form U * v = D * V of the v block as a strong decomposition.
+
+    A valid object needs no further check.  det u * det v = W^rho != 0, so
+    v has full rank rho.  And u = W * v^-1 = W * V^-1 * D^-1 * U over the
+    fraction field, so D^-1 * W = V * u * U^-1 is integral (U^-1 is, as
+    det U is a unit): every invariant factor divides W.
+    """
     dec = smith(a.v)
-    if dec.rank != a.rho:
-        # impossible while u*v = W*I holds with W != 0
-        raise ValidationError("v block is singular")
-    for d in dec.invariant_factors:
-        if not divides(d, a.W):
-            raise ValidationError("invariant factor does not divide W")
     return StrongDecomposition(W=a.W, factors=dec.invariant_factors,
                                even_transform=dec.U, odd_transform=dec.V)
 
@@ -168,16 +177,18 @@ def is_zero_object(a: MatrixFactorization) -> bool:
 
 
 def _elementary_scalar(f: MfMorphism) -> RingElement:
-    """The unique r with f = r * (generator); endpoints must be elementary."""
+    """The unique r with f = r * (generator); endpoints must be elementary.
+
+    With d = gcd(v1, v2) the generator is (v2/d, v1/d).  A valid f has
+    v2 * f11 = f00 * v1, so (v2/d) * f11 = f00 * (v1/d) with v1/d and v2/d
+    coprime: v2/d divides f00, r = f00 * d / v2 is exact, and cancelling
+    v2/d gives f11 = r * v1/d.  Every morphism e_{v1} -> e_{v2} is r times
+    the generator, so f11 needs no check.
+    """
     if not (f.source.is_elementary and f.target.is_elementary):
         raise PreconditionError("morphism endpoints must be elementary")
     v1, v2 = f.source.v_scalar(), f.target.v_scalar()
-    d = gcd(v1, v2)
-    r = exact_div(f.f00.entry(0, 0) * d, v2)
-    if f.f11.entry(0, 0) * d != r * v1:
-        raise ValidationError("components are not a scalar multiple of the "
-                              "generating morphism")
-    return r
+    return exact_div(f.f00.entry(0, 0) * gcd(v1, v2), v2)
 
 
 def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
@@ -299,6 +310,27 @@ class MfClass:
         checked.sort(key=lambda t: (t[0].sort_key(), t[1]))
         return cls(critical=cd, labels=tuple(checked))
 
+    @classmethod
+    def from_divisors(cls, cd: CriticalData, divisors) -> "MfClass":
+        """The class of the sum of e_d over the given divisors d of W.
+
+        Each e_d contributes (p, i) for every critical prime p with
+        1 <= i <= n_p - 1, i the multiplicity of p in d; everything else
+        about d is a zero object and contributes nothing.  Every d divides
+        W, so the multiplicities are read by repeated exact division by the
+        critical primes, with no further factoring.
+        """
+        labels = []
+        for d in divisors:
+            for p, n in cd.critical:
+                e = 0
+                while e < n and divides(p, d):
+                    d = exact_div(d, p)
+                    e += 1
+                if 1 <= e <= n - 1:
+                    labels.append((p, e))
+        return cls.from_labels(cd, labels)
+
     @property
     def is_zero(self) -> bool:
         return not self.labels
@@ -311,28 +343,13 @@ class MfClass:
 
 def primary_decompose(a: MatrixFactorization,
                       cd: CriticalData | None = None) -> MfClass:
-    """Krull-Schmidt class of an object against the critical primes of W.
-
-    Each elementary factor e_d contributes (p, i) for every critical prime
-    p with 1 <= i <= n_p - 1, i the multiplicity of p in d; everything else
-    about d is a zero object and contributes nothing.  Every d divides W,
-    so the multiplicities are read by repeated exact division by the
-    critical primes, with no further factoring.
-    """
+    """Krull-Schmidt class of an object against the critical primes of W:
+    the class of the sum of e_d over its strong factors d."""
     if cd is None:
         cd = critical_decompose(a.W)
     elif cd.W != a.W:
         raise ValidationError("critical data belongs to a different W")
-    labels = []
-    for d in strong_decompose(a).factors:
-        for p, n in cd.critical:
-            e = 0
-            while e < n and divides(p, d):
-                d = exact_div(d, p)
-                e += 1
-            if 1 <= e <= n - 1:
-                labels.append((p, e))
-    return MfClass.from_labels(cd, labels)
+    return MfClass.from_divisors(cd, strong_decompose(a).factors)
 
 
 def hmf_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:

@@ -17,8 +17,9 @@ from pathlib import Path
 from random import Random
 
 from . import artinian, jsonio
-from .classify import (critical_decompose, critical_ideal_generator,
-                       hmf_hom, hmf_iso, is_zero_object, primary_decompose,
+from .classify import (MfClass, cone_split, critical_decompose,
+                       critical_ideal_generator, elementary_sum, hmf_hom,
+                       hmf_iso, is_iso, is_zero_object, primary_decompose,
                        strong_decompose, strong_iso)
 from .errors import ParseError, PreconditionError, ValidationError
 from .factorizations import cone, elementary, elementary_morphism
@@ -93,7 +94,7 @@ def _cmd_classify(args) -> str:
     a = jsonio.parse_factorization(_load_json(args.factorization),
                                    _default_ring(args))
     sd = strong_decompose(a)
-    cls = primary_decompose(a)
+    cls = MfClass.from_divisors(critical_decompose(a.W), sd.factors)
     if args.format == "json":
         payload = jsonio.class_to_json(cls)
         payload["strong_factors"] = [d.text() for d in sd.factors]
@@ -110,8 +111,14 @@ def _cmd_iso(args) -> str:
     ring = _default_ring(args)
     a = jsonio.parse_factorization(_load_json(args.a), ring)
     b = jsonio.parse_factorization(_load_json(args.b), ring)
-    zmf = strong_iso(a, b)
-    hmf = hmf_iso(a, b)
+    if a.W != b.W:
+        raise ValidationError("objects factor different elements")
+    # one Smith decomposition per object answers both questions
+    cd = critical_decompose(a.W)
+    fa, fb = strong_decompose(a).factors, strong_decompose(b).factors
+    zmf = fa == fb
+    hmf = (MfClass.from_divisors(cd, fa).labels
+           == MfClass.from_divisors(cd, fb).labels)
     if args.format == "json":
         return jsonio.dumps({"zmf": zmf, "hmf": hmf})
     return f"strict isomorphism: {zmf}\nhomotopy isomorphism: {hmf}\n"
@@ -124,8 +131,6 @@ def _cmd_cone(args) -> str:
     iso = is_zero_object(c)
     split = None
     if f.source.is_elementary and f.target.is_elementary:
-        from .classify import cone_split
-
         split = cone_split(f)
     if args.format == "json":
         payload = {"W": c.W.text(), "ring": c.ring.name}
@@ -209,8 +214,6 @@ def _demo_w12_section(lines: list[str]):
     lines.append(f"strict iso e_2 ~ e_6: {strong_iso(e2, e6)}")
     lines.append(f"homotopy iso e_2 ~ e_6: {hmf_iso(e2, e6)}")
     f = elementary_morphism(e2, e6, zz.one)
-    from .classify import cone_split, is_iso
-
     xi, zeta = cone_split(f)
     lines.append(f"cone of the unit map e_2 -> e_6 splits as "
                  f"e_{xi.text()} + e_{zeta.text()}")
@@ -270,8 +273,6 @@ def _demo_selftest_section(lines: list[str], seed: int):
     rounds = 5
     W = zz.from_int(360)
     cd = critical_decompose(W)
-    from .classify import MfClass, elementary_sum
-
     for _ in range(rounds):
         labels = random_label_multiset(cd, rng)
         expected = MfClass.from_labels(cd, labels).labels

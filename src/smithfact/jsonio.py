@@ -85,11 +85,12 @@ def parse_element(ring: Ring, obj) -> RingElement:
 
 
 def matrix_to_json(m: RingMatrix) -> dict:
+    fmt, n = m.ring._format, m.cols
     return {
         "ring": m.ring.name,
         "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[m.entry(i, j).text() for j in range(m.cols)]
+        "cols": n,
+        "entries": [[fmt(p) for p in m.payloads[i * n:(i + 1) * n]]
                     for i in range(m.rows)],
     }
 
@@ -206,7 +207,7 @@ def parse_morphism(obj, ring: Ring | None = None) -> MfMorphism:
 
 def smith_to_json(dec: SmithDecomposition) -> dict:
     return {
-        "ring": dec.D.ring.name,
+        "ring": dec.U.ring.name,
         "D": matrix_to_json(dec.D),
         "U": matrix_to_json(dec.U),
         "V": matrix_to_json(dec.V),

@@ -537,9 +537,6 @@ class BezoutCertificate:
     x: RingElement
     y: RingElement
 
-    def holds_for(self, a: RingElement, b: RingElement) -> bool:
-        return self.x * a + self.y * b == self.g
-
 
 @dataclass(frozen=True)
 class PrimeFactorization:

@@ -4,7 +4,9 @@ The decomposition returned by :func:`smith` satisfies U * A = D * V exactly,
 with U and V of unit determinant, D diagonal with canonical entries forming
 a divisibility chain d1 | d2 | ... | dr.  The inverse of V is tracked during
 the reduction (columns beyond the rank are a kernel basis), so linear systems
-over the ring are solvable from the same data.  The reduction works on the
+over the ring are solvable from the same data.  The certificate stores U,
+V, v_inv and the chain only; the rank and D are derived from them, and
+``verify`` checks each stored fact once.  The reduction works on the
 matrices' raw payloads; ``RingElement`` values appear only in the Bezout
 certificates it requests and in the invariant factors it returns.
 
@@ -47,38 +49,45 @@ class SmithDecomposition:
     """U * A = D * V with unit-determinant U, V; D = diag(invariant factors).
 
     ``v_inv`` is the two-sided inverse of V; the columns of ``v_inv`` with
-    index >= rank freely span ker(A).
+    index >= rank freely span ker(A).  Each fact is stored once: ``rank`` is
+    the length of the chain and ``D`` is read from the chain and the shapes
+    of U and V, so no stored copy can disagree with them.
     """
 
     U: RingMatrix
     V: RingMatrix
-    D: RingMatrix
-    rank: int
     invariant_factors: tuple[RingElement, ...]
     v_inv: RingMatrix
 
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
+
+    @property
+    def D(self) -> RingMatrix:
+        return RingMatrix.diagonal(self.U.ring, self.invariant_factors,
+                                   self.U.rows, self.V.rows)
+
     def verify(self, a: RingMatrix) -> bool:
-        """Re-check every property of the certificate against ``a``.
+        """Re-check every property of the certificate against ``a``; False,
+        never an exception, when it does not fit ``a``.
 
         ``V * v_inv = I`` makes V square with det V * det v_inv = 1, so it
         also proves det V a unit; only det U is computed.
         """
-        ring = a.ring
+        ring, (m, n) = a.ring, a.shape
         chain = self.invariant_factors
-        if (self.rank != len(chain) or self.rank > min(a.rows, a.cols)
-                or self.D != RingMatrix.diagonal(ring, chain, a.rows, a.cols)):
+        fits = ((self.U, m), (self.V, n), (self.v_inv, n))
+        if (any(x.ring is not ring or x.shape != (k, k) for x, k in fits)
+                or len(chain) > min(m, n)
+                or any(d.ring is not ring or d.is_zero
+                       or normalize(d).canonical != d for d in chain)
+                or not all(divides(chain[i], chain[i + 1])
+                           for i in range(len(chain) - 1))):
             return False
-        if self.U @ a != self.D @ self.V:
-            return False
-        if self.V @ self.v_inv != RingMatrix.identity(ring, a.cols):
-            return False
-        if not self.U.is_unit_determinant():
-            return False
-        for d in chain:
-            if d.is_zero or normalize(d).canonical != d:
-                return False
-        return all(divides(chain[i], chain[i + 1])
-                   for i in range(len(chain) - 1))
+        return (self.U @ a == self.D @ self.V
+                and self.V @ self.v_inv == RingMatrix.identity(ring, n)
+                and self.U.is_unit_determinant())
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -199,14 +208,10 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             U[k] = [mul(u, e) for e in U[k]]
         k += 1
 
-    rank = k
-    factors = tuple(ring.element(B[i][i]) for i in range(rank))
     return SmithDecomposition(
         U=RingMatrix(ring, m, m, [e for row in U for e in row]),
         V=RingMatrix(ring, n, n, [e for row in V for e in row]),
-        D=RingMatrix.diagonal(ring, factors, rows=m, cols=n),
-        rank=rank,
-        invariant_factors=factors,
+        invariant_factors=tuple(ring.element(B[i][i]) for i in range(k)),
         v_inv=RingMatrix(ring, n, n, [e for row in Vi for e in row]),
     )
 

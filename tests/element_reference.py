@@ -6,6 +6,9 @@ in ``smithfact.smith`` and ``smithfact.matrices`` replaced, kept as the test
 oracle: both must give identical results, and ``smith`` must request the
 same Bezout certificates.  ``gcd_bezout`` is looked up on this module at
 call time so a test can count its calls.
+
+``witness_holds`` is the full 2rho x 2rho block identity that the rho x rho
+``StrongDecomposition.witness_holds`` replaced, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from smithfact.matrices import RingMatrix
 from smithfact.rings import divides, exact_div, gcd_bezout, normalize
 from smithfact.smith import SmithDecomposition
 
-__all__ = ["smith", "matmul", "det", "kron"]
+__all__ = ["smith", "matmul", "det", "kron", "witness_holds"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -113,14 +116,10 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             U[k] = [u * e for e in U[k]]
         k += 1
 
-    rank = k
-    factors = tuple(B[i][i] for i in range(rank))
     return SmithDecomposition(
         U=RingMatrix.from_rows(ring, U),
         V=RingMatrix.from_rows(ring, V),
-        D=RingMatrix.diagonal(ring, factors, rows=m, cols=n),
-        rank=rank,
-        invariant_factors=factors,
+        invariant_factors=tuple(B[i][i] for i in range(k)),
         v_inv=RingMatrix.from_rows(ring, Vi),
     )
 
@@ -173,3 +172,14 @@ def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
                     out.append(aij * b.entry(r, s))
     return RingMatrix(a.ring, a.rows * b.rows, a.cols * b.cols,
                       [e.payload for e in out])
+
+
+def witness_holds(sd, a) -> bool:
+    """diag(E, O) * differential(a) = differential(normal form) * diag(E, O)
+    with E, O = sd.even_transform, sd.odd_transform of unit determinant."""
+    E, O = sd.even_transform, sd.odd_transform
+    z = RingMatrix.zeros(E.ring, E.rows, E.rows)
+    t = RingMatrix.block([[E, z], [z, O]])
+    if t @ a.differential() != sd.normal_form().differential() @ t:
+        return False
+    return E.det().is_unit and O.det().is_unit

@@ -1,13 +1,18 @@
 """Classification: strong invariants, cones, hom modules, primary labels."""
 
+import dataclasses
 import random
 import sys
 
+import element_reference as ref
 import pytest
 
 from smithfact import (
+    MatrixFactorization,
     MfClass,
+    MfMorphism,
     PreconditionError,
+    RingMatrix,
     ValidationError,
     cone,
     cone_split,
@@ -18,6 +23,7 @@ from smithfact import (
     elementary,
     elementary_morphism,
     elementary_sum,
+    factorize,
     gcd,
     hmf_hom,
     hmf_iso,
@@ -37,6 +43,7 @@ from smithfact import (
     suspension,
     zero_morphism,
 )
+from smithfact.classify import _elementary_scalar
 from conftest import GF3, Z, z
 
 
@@ -143,6 +150,48 @@ def test_strong_decompose_pair_is_gcd_lcm():
         assert sd.factors == (gcd(z(v1), z(v2)), lcm(z(v1), z(v2)))
 
 
+def _divisor_grid(W):
+    divs = [W.ring.one]
+    for p, n in factorize(W).factors:
+        divs = [d * p ** k for d in divs for k in range(n + 1)]
+    return divs
+
+
+WITNESS_GRID = [z(12), z(360), GF3.parse("x^3 + x^2")]
+
+
+def _bump(m, k):
+    """m with entry k raised by one."""
+    pay = list(m.payloads)
+    pay[k] = m.ring._add(pay[k], m.ring._from_int(1))
+    return RingMatrix(m.ring, m.rows, m.cols, pay)
+
+
+@pytest.mark.parametrize("W", WITNESS_GRID, ids=str)
+def test_witness_near_misses_agree_with_block_identity(W):
+    rng = random.Random(f"witness:{W}")
+    divs = _divisor_grid(W)
+    two_w = W * W.ring.from_int(2)
+    for rho in range(4):
+        for _ in range(3):
+            a = conjugate_factorization(
+                elementary_sum(W, [rng.choice(divs) for _ in range(rho)]),
+                rng)
+            sd = strong_decompose(a)
+            assert sd.witness_holds(a) and ref.witness_holds(sd, a)
+            # the same v over 2W: only the W check rejects it at rank 0,
+            # where the block identity has no entries to disagree
+            b = MatrixFactorization(two_w, a.u.scale(2), a.v)
+            assert not sd.witness_holds(b)
+            assert ref.witness_holds(sd, b) == (rho == 0)
+            for name in ("even_transform", "odd_transform"):
+                for k in range(rho * rho):
+                    bad = dataclasses.replace(
+                        sd, **{name: _bump(getattr(sd, name), k)})
+                    assert bad.witness_holds(a) == ref.witness_holds(bad, a)
+                    assert not bad.witness_holds(a)
+
+
 def test_is_zero_object():
     assert is_zero_object(e(1, 12))
     assert is_zero_object(e(5, 360))
@@ -192,6 +241,35 @@ def test_cone_split_divisibility_and_product():
         xi, zeta = cone_split(f)
         assert divides(xi, zeta)
         assert xi * zeta == f.source.v_scalar() * f.target.u_scalar()
+
+
+@pytest.mark.parametrize("W", [z(12), GF3.parse("x^3 + x^2")], ids=str)
+def test_elementary_scalar_recovers_both_components(W):
+    ring = W.ring
+    if ring is Z:
+        residues = [z(c) for c in range(12)]
+    else:
+        x = ring.parse("x")
+        residues = [ring.from_int(c0) + ring.from_int(c1) * x
+                    + ring.from_int(c2) * x * x
+                    for c0 in range(3) for c1 in range(3) for c2 in range(3)]
+    scalars = [RingMatrix(ring, 1, 1, [r.payload]) for r in residues]
+    for v1 in _divisor_grid(W):
+        for v2 in _divisor_grid(W):
+            src, dst = elementary(v1, W), elementary(v2, W)
+            d = gcd(v1, v2)
+            accepted = 0
+            for f00 in scalars:
+                for f11 in scalars:
+                    try:
+                        f = MfMorphism(src, dst, f00, f11)
+                    except ValidationError:
+                        continue
+                    accepted += 1
+                    r = _elementary_scalar(f)
+                    assert f.f00.entry(0, 0) * d == r * v2
+                    assert f.f11.entry(0, 0) * d == r * v1
+            assert accepted >= 1
 
 
 def test_is_iso_examples():

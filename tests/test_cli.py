@@ -224,6 +224,15 @@ def test_iso_same_object(capsys):
     assert blob == {"zmf": True, "hmf": True}
 
 
+def test_iso_different_W_exit_3(capsys):
+    a = json.dumps({"W": "12", "ring": "Z", "elementary": "2"})
+    b = json.dumps({"W": "8", "ring": "Z", "elementary": "2"})
+    code, out, err = run(capsys, "iso", a, b)
+    assert code == 3
+    assert out == ""
+    assert err == "invalid input: objects factor different elements\n"
+
+
 # ---------------------------------------------------------------------------
 # cone
 

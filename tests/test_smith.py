@@ -105,14 +105,45 @@ def test_verify_rejects_non_chain_D():
     a = M([[2, 0], [0, 3]])
     eye = RingMatrix.identity(Z, 2)
     # U = V = I certifies A = D, but (2, 3) is not a divisibility chain
-    not_chain = SmithDecomposition(U=eye, V=eye, D=a, rank=2,
+    not_chain = SmithDecomposition(U=eye, V=eye,
                                    invariant_factors=(z(2), z(3)), v_inv=eye)
+    assert not_chain.D == a
     assert not not_chain.verify(a)
-    # the true factors (1, 6) with a D that is not diag(1, 6)
+    # the true factors (1, 6), but U = V = I do not carry A to diag(1, 6)
     mismatched = dataclasses.replace(not_chain,
                                      invariant_factors=(z(1), z(6)))
     assert not mismatched.verify(a)
     assert smith(a).invariant_factors == (z(1), z(6))
+
+
+def test_rank_and_D_are_read_from_the_chain():
+    a = M([[2, 4, 4], [-6, 6, 12]])
+    dec = smith(a)
+    assert dec.rank == len(dec.invariant_factors) == 2
+    assert dec.D == RingMatrix.diagonal(Z, dec.invariant_factors, 2, 3)
+    assert dec.U @ a == dec.D @ dec.V
+
+
+def test_verify_is_false_on_a_certificate_of_the_wrong_shape():
+    a = M([[2, 0], [0, 3]])
+    dec = smith(a)
+    assert dec.verify(a)
+    # U of the wrong size used to raise from the product U * A
+    assert not dataclasses.replace(
+        dec, U=RingMatrix.identity(Z, 3)).verify(a)
+    assert not dataclasses.replace(
+        dec, V=RingMatrix.identity(Z, 3)).verify(a)
+    assert not dataclasses.replace(
+        dec, v_inv=RingMatrix.identity(Z, 3)).verify(a)
+    # a 2x3 decomposition checked against a 3x2 matrix
+    b = M([[1, 2, 3], [4, 5, 6]])
+    assert smith(b).verify(b)
+    assert not smith(b).verify(b.transpose())
+    # a chain longer than the matrix allows
+    assert not dataclasses.replace(
+        dec, invariant_factors=(z(1), z(1), z(6))).verify(a)
+    # a certificate over another ring
+    assert not smith(M([[2, 0], [0, 3]], GF3)).verify(a)
 
 
 def test_smith_diagonal_with_zero():
