@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .classify import hmf_hom, primary_decompose
+from .classify import (critical_decompose, hmf_hom, primary_decompose,
+                       primary_test_objects)
 from .errors import PreconditionError, ValidationError
-from .factorizations import elementary, suspension
+from .factorizations import suspension
 from .rings import RingElement, divides, exact_div, gcd, is_prime, normalize
 
 __all__ = [
@@ -301,18 +302,19 @@ def cok_crosscheck(ctx: LambdaContext) -> bool:
 
     Over W = p^n, the even hom module between e_{p^i} and e_{p^j} must be
     cyclic with annihilator p^mu(i, j), and the matrix-level suspension of
-    e_{p^i} must land in the class labelled (p, n - i).
+    e_{p^i} must land in the class labelled (p, n - i).  W is factored
+    once, and each e_{p^i} (the primary test objects of W, in order
+    i = 1, ..., n - 1) is built once.
     """
-    W = ctx.modulus
     n = ctx.n
-    for i in range(1, n):
-        ei = elementary(ctx.p ** i, W)
+    cd = critical_decompose(ctx.modulus)
+    objects = primary_test_objects(cd)
+    for i, ei in enumerate(objects, 1):
         expected = [(ctx.p, n - i)]
-        got = primary_decompose(suspension(ei)).labels
+        got = primary_decompose(suspension(ei), cd).labels
         if list(got) != expected:
             return False
-        for j in range(1, n):
-            ej = elementary(ctx.p ** j, W)
+        for j, ej in enumerate(objects, 1):
             hom = hmf_hom(ei, ej)
             m = mu(n, i, j)
             expected_factors = (ctx.p ** m,) if m else ()

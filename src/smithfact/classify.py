@@ -11,9 +11,17 @@ v: the strong factors d_i make the object strongly isomorphic to the sum of
 the e_{d_i}, whose class ``MfClass.from_divisors`` reads off.  A validated
 object already guarantees what the strong layer needs (full rank, each d_i
 dividing W, the u half of the witness); the proofs are in the docstrings
-of ``strong_decompose`` and ``StrongDecomposition.witness_holds``.  Hom
-modules in the homotopy category are computed from the cocycle/boundary
-subquotient, never from assumed closed forms.
+of ``strong_decompose`` and ``StrongDecomposition.witness_holds``.
+
+Whether an object is zero is read from the same factors
+(``StrongDecomposition.is_zero``): e_d is zero exactly when gcd(d, W/d) is
+a unit, a test symmetric in d and W/d.  With U * v = D * V, u = W * v^-1
+gives V * u * U^-1 = W * D^-1 = diag(W/d_i), so the u block's invariant
+factors are the W/d_i; the suspension (W, -v, -u) swaps the blocks, so one
+decomposition of either block answers for both.  ``elementary_sum`` is the
+one builder of the diagonal objects diag(W/d), diag(d), normal forms
+included.  Hom modules in the homotopy category are computed from the
+cocycle/boundary subquotient, never from assumed closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
-                             direct_sum, hom_differentials)
+                             hom_differentials)
 from .matrices import RingMatrix
 from .rings import (RingElement, divides, exact_div, factorize, gcd, gcd_all,
                     normalize)
@@ -119,14 +127,18 @@ class StrongDecomposition:
     odd_transform: RingMatrix
 
     def normal_form(self) -> MatrixFactorization:
-        ring = self.W.ring
-        rho = len(self.factors)
-        u_diag = [exact_div(self.W, d) for d in self.factors]
-        return MatrixFactorization(
-            self.W,
-            RingMatrix.diagonal(ring, u_diag, rho, rho),
-            RingMatrix.diagonal(ring, list(self.factors), rho, rho),
-        )
+        return elementary_sum(self.W, self.factors)
+
+    @staticmethod
+    def is_zero(W: RingElement, factors) -> bool:
+        """Whether the sum of the e_d over ``factors`` is a zero object of
+        the homotopy category: gcd(d, W/d) is a unit for every d.
+
+        ``factors`` is an object's strong factors or a cone split
+        (xi, zeta).  The test is symmetric in d and W/d, so it gives the
+        same answer on either block's factors.
+        """
+        return all(gcd(d, exact_div(W, d)).is_unit for d in factors)
 
     def witness_holds(self, a: MatrixFactorization) -> bool:
         """Whether diag(E, O) conjugates the differential of ``a`` onto the
@@ -138,11 +150,16 @@ class StrongDecomposition:
         the fraction field u = W * v^-1, and E * v = D * O (D non-singular,
         since v is) gives v^-1 = O^-1 * D^-1 * E, so O * u = W * D^-1 * E.
         Without the W check an object over 2W with the same v would pass.
+        A witness whose rank, ring or transform shapes do not fit ``a``
+        gives False before any product is formed, never an exception.
         """
         E, O = self.even_transform, self.odd_transform
-        return (a.W == self.W
-                and E @ a.v == RingMatrix.diagonal(self.W.ring,
-                                                   self.factors) @ O
+        rho = len(self.factors)
+        if (a.W != self.W or a.rho != rho
+                or any(x.ring is not a.ring or x.shape != (rho, rho)
+                       for x in (E, O))):
+            return False
+        return (E @ a.v == RingMatrix.diagonal(a.ring, self.factors) @ O
                 and E.is_unit_determinant() and O.is_unit_determinant())
 
 
@@ -170,10 +187,10 @@ def strong_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
 
 
 def is_zero_object(a: MatrixFactorization) -> bool:
-    """Zero objects of the homotopy category: every elementary factor e_d
-    has gcd(d, W/d) a unit."""
+    """Zero objects of the homotopy category, read from the strong factors
+    (``StrongDecomposition.is_zero``)."""
     sd = strong_decompose(a)
-    return all(gcd(d, exact_div(a.W, d)).is_unit for d in sd.factors)
+    return sd.is_zero(a.W, sd.factors)
 
 
 def _elementary_scalar(f: MfMorphism) -> RingElement:
@@ -211,12 +228,9 @@ def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
 
 
 def is_iso(f: MfMorphism) -> bool:
-    """Invertibility in the homotopy category: both cone components are
-    zero objects."""
-    xi, zeta = cone_split(f)
-    W = f.source.W
-    return (gcd(xi, exact_div(W, xi)).is_unit
-            and gcd(zeta, exact_div(W, zeta)).is_unit)
+    """Invertibility in the homotopy category: the cone, strongly isomorphic
+    to e_xi + e_zeta after suspension, is a zero object."""
+    return StrongDecomposition.is_zero(f.source.W, cone_split(f))
 
 
 class HomModules(NamedTuple):
@@ -255,7 +269,7 @@ def _postcompose_matrix(f: MfMorphism, t: MatrixFactorization) -> RingMatrix:
 def induced_hom_iso(f: MfMorphism, t: MatrixFactorization) -> bool:
     """Whether Hom(t, f) is invertible on both hom-module degrees.
 
-    Surjectivity plus equal composition length decides invertibility for
+    Surjectivity plus equal order (``_order``) decides invertibility for
     these finite-length modules.
     """
     src_even, src_odd = hom_subquotients(t, f.source)
@@ -265,6 +279,24 @@ def induced_hom_iso(f: MfMorphism, t: MatrixFactorization) -> bool:
             and _presented_map_iso(src_odd, dst_odd, lmat))
 
 
+def _order(m: ModuleInvariants) -> RingElement:
+    """The order of a finite-length module: the product of its torsion
+    factors, canonical because each factor is.
+
+    Over a PID the order is multiplicative in short exact sequences, and
+    its prime factors, counted with multiplicity, number the length.  So a
+    surjection between modules of equal order has a kernel of order 1,
+    hence zero, and is an isomorphism.  Equal orders give equal lengths,
+    and a surjection between modules of equal length is an isomorphism,
+    which forces equal orders: comparing orders gives every answer that
+    comparing lengths gave, with no factoring.
+    """
+    order = m.ring.one
+    for d in m.torsion_factors:
+        order = order * d
+    return order
+
+
 def _presented_map_iso(src: Subquotient, dst: Subquotient,
                        lmat: RingMatrix) -> bool:
     y = _kernel_coordinates(dst.outer_smith, lmat @ src.generators)
@@ -272,7 +304,7 @@ def _presented_map_iso(src: Subquotient, dst: Subquotient,
         raise ValidationError("induced map does not preserve cocycles")
     if src.invariants.free_rank or dst.invariants.free_rank:
         raise ValidationError("hom modules must have finite length")
-    if src.invariants.length() != dst.invariants.length():
+    if _order(src.invariants) != _order(dst.invariants):
         return False
     onto = RingMatrix.block([[y, dst.relations]])
     dec = smith(onto)
@@ -386,13 +418,15 @@ def primary_test_objects(cd: CriticalData) -> list[MatrixFactorization]:
 
 
 def elementary_sum(W: RingElement, divisors) -> MatrixFactorization:
-    """Direct sum of elementary factorizations e_v for each given divisor."""
+    """Direct sum of the elementary factorizations e_d, in the given order:
+    u = diag(W/d) and v = diag(d), checked once as one factorization.
+
+    ``exact_div`` refuses a divisor over another ring (``ValidationError``),
+    a zero one or one that does not divide W (``PreconditionError``), as
+    ``elementary`` does.
+    """
     divisors = list(divisors)
-    if not divisors:
-        ring = W.ring
-        return MatrixFactorization(W, RingMatrix.zeros(ring, 0, 0),
-                                   RingMatrix.zeros(ring, 0, 0))
-    acc = elementary(divisors[0], W)
-    for v in divisors[1:]:
-        acc = direct_sum(acc, elementary(v, W))
-    return acc
+    ring = W.ring
+    return MatrixFactorization(
+        W, RingMatrix.diagonal(ring, [exact_div(W, d) for d in divisors]),
+        RingMatrix.diagonal(ring, divisors))

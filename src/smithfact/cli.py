@@ -3,9 +3,9 @@
 Subcommands wrap the library one-to-one: snf, classify, iso, cone, hom,
 quiver, plus a seeded demo walkthrough.  Inputs are inline JSON, a file
 path, or "-" for standard input.  Output is byte-deterministic for a fixed
-invocation.  Exit codes: 0 success, 2 parse error or an unusable file
-argument (unreadable or non-UTF-8 input, unwritable --out), 3 validation
-error, 4 precondition violation.
+invocation.  Exit codes: 0 success, 2 parse error (every JSON decoding
+failure included) or an unusable file argument (unreadable or non-UTF-8
+input, unwritable --out), 3 validation error, 4 precondition violation.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from pathlib import Path
 from random import Random
 
 from . import artinian, jsonio
-from .classify import (MfClass, cone_split, critical_decompose,
+from .classify import (CriticalData, MfClass, cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
-                       hmf_iso, is_iso, is_zero_object, primary_decompose,
-                       strong_decompose, strong_iso)
+                       is_iso, primary_decompose, strong_decompose)
 from .errors import ParseError, PreconditionError, ValidationError
-from .factorizations import cone, elementary, elementary_morphism
+from .factorizations import (MatrixFactorization, cone, elementary,
+                             elementary_morphism, suspension)
 from .matrices import RingMatrix
 from .rings import Ring, ring_from_text
 from .sampling import conjugate_factorization, random_label_multiset, \
@@ -49,10 +49,14 @@ def _read_text(source: str) -> str:
 
 
 def _load_json(source: str):
+    """Decode JSON; every decoding failure is a parse error.  Besides
+    ``JSONDecodeError`` that is the plain ``ValueError`` of an integer
+    literal past Python's int-to-str digit limit and the ``RecursionError``
+    of arrays or objects nested too deeply."""
     text = _read_text(source)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
 
 
@@ -107,18 +111,23 @@ def _cmd_classify(args) -> str:
             f"class: {cls}\n")
 
 
+def _iso_answers(a: MatrixFactorization, b: MatrixFactorization,
+                 cd: CriticalData) -> tuple[bool, bool]:
+    """Strict and homotopy isomorphism of two objects of cd.W, from one
+    Smith decomposition per object: the strong factors decide the first
+    (equal factors mean equal rank too) and their class the second."""
+    fa, fb = strong_decompose(a).factors, strong_decompose(b).factors
+    return fa == fb, (MfClass.from_divisors(cd, fa).labels
+                      == MfClass.from_divisors(cd, fb).labels)
+
+
 def _cmd_iso(args) -> str:
     ring = _default_ring(args)
     a = jsonio.parse_factorization(_load_json(args.a), ring)
     b = jsonio.parse_factorization(_load_json(args.b), ring)
     if a.W != b.W:
         raise ValidationError("objects factor different elements")
-    # one Smith decomposition per object answers both questions
-    cd = critical_decompose(a.W)
-    fa, fb = strong_decompose(a).factors, strong_decompose(b).factors
-    zmf = fa == fb
-    hmf = (MfClass.from_divisors(cd, fa).labels
-           == MfClass.from_divisors(cd, fb).labels)
+    zmf, hmf = _iso_answers(a, b, critical_decompose(a.W))
     if args.format == "json":
         return jsonio.dumps({"zmf": zmf, "hmf": hmf})
     return f"strict isomorphism: {zmf}\nhomotopy isomorphism: {hmf}\n"
@@ -127,8 +136,11 @@ def _cmd_iso(args) -> str:
 def _cmd_cone(args) -> str:
     f = jsonio.parse_morphism(_load_json(args.morphism), _default_ring(args))
     c = cone(f)
-    factors = smith(c.u).invariant_factors
-    iso = is_zero_object(c)
+    # the suspension's v block is -u: one decomposition gives the u-block
+    # factors and, as suspension keeps zero objects zero, the zero test
+    sd = strong_decompose(suspension(c))
+    factors = sd.factors
+    iso = sd.is_zero(c.W, factors)
     split = None
     if f.source.is_elementary and f.target.is_elementary:
         split = cone_split(f)
@@ -206,13 +218,15 @@ def _demo_smith_section(lines: list[str]):
 def _demo_w12_section(lines: list[str]):
     zz = ring_from_text("Z")
     W = zz.from_int(12)
+    cd = critical_decompose(W)
     lines.append("== Factorizations of W = 12 over Z ==")
     for d in (1, 2, 3, 4, 6, 12):
-        cls = primary_decompose(elementary(zz.from_int(d), W))
+        cls = primary_decompose(elementary(zz.from_int(d), W), cd)
         lines.append(f"class of e_{d}: {cls}")
     e2, e6 = elementary(zz.from_int(2), W), elementary(zz.from_int(6), W)
-    lines.append(f"strict iso e_2 ~ e_6: {strong_iso(e2, e6)}")
-    lines.append(f"homotopy iso e_2 ~ e_6: {hmf_iso(e2, e6)}")
+    zmf, hmf = _iso_answers(e2, e6, cd)
+    lines.append(f"strict iso e_2 ~ e_6: {zmf}")
+    lines.append(f"homotopy iso e_2 ~ e_6: {hmf}")
     f = elementary_morphism(e2, e6, zz.one)
     xi, zeta = cone_split(f)
     lines.append(f"cone of the unit map e_2 -> e_6 splits as "
@@ -231,7 +245,7 @@ def _demo_w360_section(lines: list[str]):
     lines.append(f"critical ideal generator: "
                  f"{critical_ideal_generator(cd).text()}")
     e12 = elementary(zz.from_int(12), W)
-    lines.append(f"class of e_12: {primary_decompose(e12)}")
+    lines.append(f"class of e_12: {primary_decompose(e12, cd)}")
     hom = hmf_hom(e12, e12)
     lines.append(f"hom(e_12, e_12): even {hom.even}, odd {hom.odd}")
     lines.append("")
@@ -277,7 +291,7 @@ def _demo_selftest_section(lines: list[str], seed: int):
         labels = random_label_multiset(cd, rng)
         expected = MfClass.from_labels(cd, labels).labels
         obj = elementary_sum(W, [p ** i for p, i in labels])
-        got = primary_decompose(conjugate_factorization(obj, rng)).labels
+        got = primary_decompose(conjugate_factorization(obj, rng), cd).labels
         ok += got == expected
     lines.append(f"class recovered after random conjugation: "
                  f"{ok}/{rounds} rounds")

@@ -74,14 +74,21 @@ def parse_ring(obj, fallback: Ring | None = None) -> Ring:
     return ring_from_text(obj)
 
 
-def parse_element(ring: Ring, obj) -> RingElement:
-    """Element from text syntax; bare integers are accepted as constants."""
+def _parse_payload(ring: Ring, obj):
+    """Payload of an element literal: text syntax, or a bare integer taken
+    as a constant.  The one element check of ``parse_element`` and of
+    every matrix entry."""
     if isinstance(obj, bool):
         raise ParseError("booleans are not ring elements")
     if isinstance(obj, int):
-        return ring.from_int(obj)
+        return ring._from_int(obj)
     _expect(isinstance(obj, str), "entries must be strings or integers")
-    return ring.parse(obj)
+    return ring._parse_payload(obj)
+
+
+def parse_element(ring: Ring, obj) -> RingElement:
+    """Element from text syntax; bare integers are accepted as constants."""
+    return ring.element(_parse_payload(ring, obj))
 
 
 def matrix_to_json(m: RingMatrix) -> dict:
@@ -101,7 +108,7 @@ def _parse_grid(ring: Ring, grid, rows: int | None,
     if rows is None:
         rows = len(grid)
     _expect(len(grid) == rows, f"expected {rows} rows, found {len(grid)}")
-    parsed = []
+    payloads = []
     width = cols
     for row in grid:
         _expect(isinstance(row, list), "each row must be a list")
@@ -109,12 +116,8 @@ def _parse_grid(ring: Ring, grid, rows: int | None,
             width = len(row)
         _expect(len(row) == width,
                 f"ragged rows: expected width {width}, found {len(row)}")
-        parsed.append([parse_element(ring, e) for e in row])
-    if width is None:
-        width = cols or 0
-    if not parsed:
-        return RingMatrix.zeros(ring, 0, width)
-    return RingMatrix.from_rows(ring, parsed)
+        payloads.extend(_parse_payload(ring, e) for e in row)
+    return RingMatrix(ring, rows, width or 0, payloads)
 
 
 def parse_matrix(obj, ring: Ring | None = None) -> RingMatrix:

@@ -540,16 +540,11 @@ class BezoutCertificate:
 
 @dataclass(frozen=True)
 class PrimeFactorization:
-    """unit * prod(p**e) = value; primes canonical, strictly increasing."""
+    """unit * prod(p**e) is the factored element; primes canonical, strictly
+    increasing."""
 
     unit: RingElement
     factors: tuple[tuple[RingElement, int], ...]
-
-    def value(self) -> RingElement:
-        acc = self.unit
-        for p, e in self.factors:
-            acc = acc * p**e
-        return acc
 
 
 def normalize(a: RingElement) -> CanonicalAssociate:

@@ -10,6 +10,14 @@ V, v_inv and the chain only; the rank and D are derived from them, and
 matrices' raw payloads; ``RingElement`` values appear only in the Bezout
 certificates it requests and in the invariant factors it returns.
 
+Module invariants come from the same reduction: U * A = D * V with U, V
+invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
+plus R^(rows - rank) (``image_cokernel_invariants``).  ker(outer)/im(inner)
+is the cokernel of its relations, the coordinates of im(inner) in the
+kernel basis, so ``subquotient`` reads its invariants the same way.
+Nothing here factors an element (``classify`` compares module orders, not
+lengths).
+
 Determinantal invariants (gcds of k x k minors) provide an independent
 oracle for the invariant factors on inputs up to MINOR_ORACLE_CAP; larger
 inputs are refused.
@@ -23,7 +31,7 @@ from itertools import combinations
 from .errors import PreconditionError, ValidationError
 from .matrices import RingMatrix
 from .rings import (Ring, RingElement, _not_dividing, divides, exact_div,
-                    factorize, gcd_bezout, normalize)
+                    gcd_bezout, normalize)
 
 __all__ = [
     "SmithDecomposition",
@@ -302,15 +310,14 @@ class ModuleInvariants:
 
     ``cyclic_factors`` lists canonical non-unit factors in a divisibility
     chain, followed by zeros, one per free summand.  The empty tuple is the
-    zero module.  ``over`` is a display tag for the base ring context.
+    zero module.
     """
 
     ring: Ring
     cyclic_factors: tuple[RingElement, ...]
-    over: str = "R"
 
     @classmethod
-    def build(cls, ring: Ring, factors, over: str = "R") -> "ModuleInvariants":
+    def build(cls, ring: Ring, factors) -> "ModuleInvariants":
         tors = []
         free = 0
         for f in factors:
@@ -322,7 +329,7 @@ class ModuleInvariants:
         for i in range(len(tors) - 1):
             if not divides(tors[i], tors[i + 1]):
                 raise ValidationError("cyclic factors do not form a chain")
-        return cls(ring, tuple(tors) + (ring.zero,) * free, over)
+        return cls(ring, tuple(tors) + (ring.zero,) * free)
 
     @property
     def is_zero(self) -> bool:
@@ -336,26 +343,17 @@ class ModuleInvariants:
     def torsion_factors(self) -> tuple[RingElement, ...]:
         return tuple(f for f in self.cyclic_factors if not f.is_zero)
 
-    def length(self) -> int:
-        """Composition length; only defined for finite-length modules."""
-        if self.free_rank:
-            raise PreconditionError("module has a free summand")
-        total = 0
-        for f in self.torsion_factors:
-            total += sum(e for _, e in factorize(f).factors)
-        return total
-
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
         free = self.free_rank
         for f in self.torsion_factors:
-            parts.append(f"{self.over}/<{f.text()}>")
+            parts.append(f"R/<{f.text()}>")
         if free == 1:
-            parts.append(self.over)
+            parts.append("R")
         elif free > 1:
-            parts.append(f"{self.over}^{free}")
+            parts.append(f"R^{free}")
         return " + ".join(parts)
 
 
@@ -427,7 +425,4 @@ def subquotient(outer: RingMatrix, inner: RingMatrix) -> Subquotient:
     rel = _kernel_coordinates(dec, inner)
     if rel is None:
         raise PreconditionError("image does not lie inside the kernel")
-    rel_dec = smith(rel)
-    factors = list(rel_dec.invariant_factors) + \
-        [outer.ring.zero] * (rel.rows - rel_dec.rank)
-    return Subquotient(dec, rel, ModuleInvariants.build(outer.ring, factors))
+    return Subquotient(dec, rel, image_cokernel_invariants(rel))

@@ -1,6 +1,7 @@
 """Artinian quotient-ring module calculus and AR quivers."""
 
 import pathlib
+import sys
 
 import pytest
 
@@ -284,3 +285,21 @@ def test_cok_crosscheck_integer():
 def test_cok_crosscheck_gf():
     x = GF3.parse("x")
     assert cok_crosscheck(LambdaContext(x, 3))
+
+
+@pytest.mark.parametrize("ctx", [ctx_for(6), ctx_for(3, p=3),
+                                 LambdaContext(GF3.parse("x"), 3)],
+                         ids=["2^6", "3^3", "x^3"])
+def test_cok_crosscheck_factors_once(ctx, monkeypatch):
+    rings, classify = (sys.modules[f"smithfact.{m}"]
+                       for m in ("rings", "classify"))
+    real, calls = rings.factorize, []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (rings, classify):
+        monkeypatch.setattr(module, "factorize", counting)
+    assert cok_crosscheck(ctx)
+    assert calls == [ctx.modulus]

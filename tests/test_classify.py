@@ -13,6 +13,7 @@ from smithfact import (
     MfMorphism,
     PreconditionError,
     RingMatrix,
+    StrongDecomposition,
     ValidationError,
     cone,
     cone_split,
@@ -43,7 +44,9 @@ from smithfact import (
     suspension,
     zero_morphism,
 )
-from smithfact.classify import _elementary_scalar
+from smithfact.classify import (_elementary_scalar, _postcompose_matrix,
+                                hom_subquotients)
+from smithfact.smith import _kernel_coordinates
 from conftest import GF3, Z, z
 
 
@@ -192,12 +195,53 @@ def test_witness_near_misses_agree_with_block_identity(W):
                     assert not bad.witness_holds(a)
 
 
+def test_witness_misfits_are_false_not_errors():
+    # each of these raised "cannot multiply" before the fit checks
+    pair = direct_sum(e(2, 12), e(3, 12))
+    sd_pair, sd_one = strong_decompose(pair), strong_decompose(e(2, 12))
+    assert not sd_pair.witness_holds(e(2, 12))
+    assert not sd_one.witness_holds(pair)
+    big_e = dataclasses.replace(sd_pair,
+                                even_transform=RingMatrix.identity(Z, 3))
+    assert not big_e.witness_holds(pair)
+    big_o = dataclasses.replace(sd_pair,
+                                odd_transform=RingMatrix.identity(Z, 3))
+    assert not big_o.witness_holds(pair)
+    x = GF3.parse("x")
+    gf_e = dataclasses.replace(sd_one,
+                               even_transform=RingMatrix.identity(GF3, 1))
+    assert not gf_e.witness_holds(e(2, 12))
+    assert not sd_one.witness_holds(elementary(x, x ** 2))
+
+
+def test_normal_form_is_elementary_sum():
+    rng = random.Random(11)
+    for W in WITNESS_GRID:
+        divs = _divisor_grid(W)
+        for rho in range(4):
+            a = conjugate_factorization(
+                elementary_sum(W, [rng.choice(divs) for _ in range(rho)]),
+                rng)
+            sd = strong_decompose(a)
+            assert sd.normal_form() == elementary_sum(W, sd.factors)
+            assert sd.normal_form().v == smith(a.v).D
+
+
 def test_is_zero_object():
     assert is_zero_object(e(1, 12))
     assert is_zero_object(e(5, 360))
     assert not is_zero_object(e(2, 12))
     assert not is_zero_object(direct_sum(e(1, 12), e(2, 12)))
     assert is_zero_object(direct_sum(e(1, 12), e(12, 12)))
+
+
+def test_strong_is_zero_reads_factors():
+    is_zero = StrongDecomposition.is_zero
+    assert is_zero(z(12), ()) and is_zero(z(12), (z(1), z(12), z(4)))
+    assert not is_zero(z(12), (z(1), z(2)))
+    sd = strong_decompose(direct_sum(e(3, 36), e(4, 36)))
+    assert sd.is_zero(sd.W, sd.factors) == is_zero_object(
+        direct_sum(e(3, 36), e(4, 36)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +477,52 @@ def test_induced_hom_iso_probe():
     assert not is_iso_by_induced_homs(g, tests)
 
 
+def _length(m):
+    return sum(k for f in m.torsion_factors for _, k in factorize(f).factors)
+
+
+def _length_probe(f, tests):
+    """The induced-hom probe as it was when it compared composition lengths
+    (by factoring every torsion factor) where it now compares orders."""
+    def presented_map_iso(src, dst, lmat):
+        y = _kernel_coordinates(dst.outer_smith, lmat @ src.generators)
+        assert y is not None
+        if _length(src.invariants) != _length(dst.invariants):
+            return False
+        dec = smith(RingMatrix.block([[y, dst.relations]]))
+        return (dec.rank == y.rows
+                and all(d.is_unit for d in dec.invariant_factors))
+
+    for t in tests:
+        lmat = _postcompose_matrix(f, t)
+        pairs = zip(hom_subquotients(t, f.source),
+                    hom_subquotients(t, f.target))
+        if not all(presented_map_iso(s, d, lmat) for s, d in pairs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("W, rate", [(12, 0.5), (32, 0.15)])
+def test_induced_hom_probe_orders_agree_with_lengths(W, rate):
+    rng = random.Random(f"probe:{W}")
+    W = z(W)
+    tests = primary_test_objects(critical_decompose(W))
+    divs = _divisor_grid(W)
+    probed = isos = 0
+    for v1 in divs:
+        for v2 in divs:
+            src, dst = elementary(v1, W), elementary(v2, W)
+            for r in range(int(str(W))):
+                if rng.random() > rate:
+                    continue
+                f = elementary_morphism(src, dst, z(r))
+                got = is_iso_by_induced_homs(f, tests)
+                assert got == _length_probe(f, tests)
+                probed += 1
+                isos += got
+    assert probed >= 40 and 0 < isos < probed
+
+
 # ---------------------------------------------------------------------------
 # round trips over GF(3)[x]
 
@@ -452,3 +542,44 @@ def test_elementary_sum_realizes_labels():
     c = MfClass.from_labels(cd, [(z(2), 1), (z(3), 1), (z(2), 2)])
     a = elementary_sum(z(360), [p ** i for p, i in c.labels])
     assert primary_decompose(a, cd).labels == c.labels
+
+
+def _direct_sum_fold(W, divisors):
+    """``elementary_sum`` as it was: a ``direct_sum`` fold of e_d."""
+    if not divisors:
+        zero = RingMatrix.zeros(W.ring, 0, 0)
+        return MatrixFactorization(W, zero, zero)
+    acc = elementary(divisors[0], W)
+    for v in divisors[1:]:
+        acc = direct_sum(acc, elementary(v, W))
+    return acc
+
+
+@pytest.mark.parametrize("W", [z(360), GF3.parse("x^3 + x^2")], ids=str)
+def test_elementary_sum_matches_direct_sum_fold(W):
+    rng = random.Random(f"elementary_sum:{W}")
+    divs = _divisor_grid(W)
+    for k in range(6):
+        for _ in range(4):
+            ds = [rng.choice(divs) for _ in range(k)]
+            new, old = elementary_sum(W, ds), _direct_sum_fold(W, ds)
+            assert new.W == old.W and new.rho == old.rho == k
+            for x, y in ((new.u, old.u), (new.v, old.v)):
+                assert x.ring is y.ring and x.shape == y.shape
+                assert x.payloads == y.payloads
+
+
+@pytest.mark.parametrize("divisors, error", [
+    ([z(2), z(0)], PreconditionError),
+    ([z(0)], PreconditionError),
+    ([z(2), z(5)], PreconditionError),
+    ([z(5), z(2)], PreconditionError),
+    ([z(2), GF3.parse("x")], ValidationError),
+    ([GF3.parse("x")], ValidationError),
+], ids=["zero", "zero-only", "non-divisor", "non-divisor-first",
+        "mixed-ring", "mixed-ring-only"])
+def test_elementary_sum_refuses_like_the_fold(divisors, error):
+    with pytest.raises(error):
+        _direct_sum_fold(z(12), divisors)
+    with pytest.raises(error):
+        elementary_sum(z(12), divisors)

@@ -79,6 +79,24 @@ def test_snf_huge_literal_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+# json.loads raises a plain ValueError for a bare integer past the digit
+# limit and RecursionError for deep nesting; both are parse errors.
+BARE_HUGE = "1" + "0" * 5000
+DEEP = "[" * 20000 + "]" * 20000
+
+
+@pytest.mark.parametrize("argv", [
+    ["snf", f"[[{BARE_HUGE}]]"],
+    ["snf", "--ring", "Z", DEEP],
+    ["classify", '{"W": ' + BARE_HUGE + ', "elementary": "2"}'],
+], ids=["bare_integer", "deep_nesting", "classify_bare_W"])
+def test_json_decoding_failure_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_snf_output_past_digit_limit_exit_4(capsys):
     # 3000-digit entries parse, but the second invariant factor, their
     # product, has 6000 digits and cannot be printed

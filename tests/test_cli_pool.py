@@ -3,7 +3,7 @@
 Every call must give its recorded exit code and byte-identical stdout, so
 CLI drift fails here before the benchmark's byte comparison sees it.  Each
 successful subcommand call must also make the pinned number of Smith
-decompositions.  The pool file is only read.
+decompositions and of factorizations.  The pool file is only read.
 """
 
 import contextlib
@@ -22,35 +22,58 @@ POOL = json.loads((ROOT / "bench" / "cli_pool.json")
 
 # Smith decompositions per successful call, by pool kind: classify reads the
 # strong factors and the class from one; iso needs one per object; hom runs
-# two subquotients of two each; cone decomposes the cone's u and v blocks.
+# two subquotients of two each; cone reads the u-block factors and the zero
+# test from one decomposition of the suspended cone; demo makes 34.
 SMITH_CALLS = {"classify": 1, "classify_big": 1, "iso": 2, "iso_big": 2,
-               "hom": 4, "cone": 2}
+               "hom": 4, "cone": 1, "demo": 34}
+# Factorizations per successful call: classify and iso factor W once; demo
+# once per W section (12, 360 and the self-test's 360); cone, hom and a
+# quiver over Z never.  A quiver over GF(p)[x] makes one, in the primality
+# test of p (see ``_factorize_pin``).
+FACTORIZE_CALLS = {"classify": 1, "classify_big": 1, "iso": 1, "iso_big": 1,
+                   "demo": 3, "cone": 0, "hom": 0, "quiver": 0}
+
+
+def _factorize_pin(entry) -> int:
+    if entry["kind"] == "quiver" and "--ring" in entry["argv"]:
+        return 1
+    return FACTORIZE_CALLS[entry["kind"]]
+
+
+def _counter(monkeypatch, name, modules):
+    """Count calls of ``name`` through every listed module binding of it."""
+    modules = [sys.modules[f"smithfact.{m}"] for m in modules]
+    real = getattr(modules[0], name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture
 def smith_calls(monkeypatch):
-    """Count ``smith`` calls through every module binding of it."""
-    modules = [sys.modules[f"smithfact.{name}"]
-               for name in ("smith", "classify", "cli")]
-    real = modules[0].smith
-    calls = []
+    return _counter(monkeypatch, "smith", ("smith", "classify", "cli"))
 
-    def counting(a):
-        calls.append(a.shape)
-        return real(a)
 
-    for module in modules:
-        monkeypatch.setattr(module, "smith", counting)
-    return calls
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    return _counter(monkeypatch, "factorize", ("rings", "classify"))
 
 
 def test_pool_covers_every_pinned_kind():
-    assert set(SMITH_CALLS) <= {entry["kind"] for entry in POOL}
+    kinds = {entry["kind"] for entry in POOL}
+    assert set(SMITH_CALLS) <= kinds and set(FACTORIZE_CALLS) <= kinds
 
 
 @pytest.mark.parametrize("entry", POOL, ids=[
     f"{i}-{entry['kind']}" for i, entry in enumerate(POOL)])
-def test_pool_entry_replays(entry, monkeypatch, smith_calls):
+def test_pool_entry_replays(entry, monkeypatch, smith_calls,
+                            factorize_calls):
     monkeypatch.chdir(ROOT)  # one malformed entry names a relative path
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
@@ -60,3 +83,5 @@ def test_pool_entry_replays(entry, monkeypatch, smith_calls):
     assert out.getvalue() == entry["stdout"]
     if code == 0 and entry["kind"] in SMITH_CALLS:
         assert len(smith_calls) == SMITH_CALLS[entry["kind"]]
+    if code == 0 and entry["kind"] in FACTORIZE_CALLS:
+        assert len(factorize_calls) == _factorize_pin(entry)
