@@ -11,6 +11,12 @@ Association classes are pinned to canonical representatives throughout:
 non-negative integers and monic polynomials.  ``normalize``, ``gcd_bezout``
 and ``factorize`` always return canonical values, which is what makes the
 classification layers deterministic.
+
+GF(p)[x] products use Kronecker substitution above a small size crossover:
+each operand is packed into one integer, a fixed-width slot per
+coefficient, so one built-in big-integer product does the work of the
+double loop.  Small operands, and primes whose slots would need more than
+8 bytes, keep the schoolbook loop.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -231,6 +239,22 @@ class IntegerRing(Ring):
         return d * d > abs(rest)
 
 
+def _kronecker_slots() -> dict[int, tuple[int, str]]:
+    """Bytes a coefficient bound needs -> (itemsize, typecode) of the
+    narrowest unsigned ``array`` item that holds it, for 1 to 8 bytes."""
+    codes = {}
+    for code in "BHILQ":  # typecodes are chosen by itemsize, not by letter
+        codes.setdefault(array(code).itemsize, code)
+    return {need: min((size, code) for size, code in codes.items()
+                      if size >= need)
+            for need in range(1, 9)}
+
+
+_KRONECKER_SLOTS = _kronecker_slots()
+_KRONECKER_MIN_TERMS = 20  # len(a)*len(b) below which the loop is faster
+_BYTE_ORDER = sys.byteorder
+
+
 class GFPolynomialRing(Ring):
     """Univariate polynomials over GF(p), p a small prime.
 
@@ -266,16 +290,48 @@ class GFPolynomialRing(Ring):
         p = self.p
         return tuple((-c) % p for c in a)
 
-    def _mul(self, a, b):
-        if not a or not b:
-            return ()
+    def _sub(self, a, b):
         p = self.p
-        out = [0] * (len(a) + len(b) - 1)
+        if len(a) < len(b):  # the leading coefficient is -b[-1], not zero
+            out = [(-c) % p for c in b]
+            for i, c in enumerate(a):
+                out[i] = (c - b[i]) % p
+            return tuple(out)
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % p
+        return self._strip(out) if len(a) == len(b) else tuple(out)
+
+    def _mul(self, a, b):
+        # Over a field the leading coefficient a[-1]*b[-1] is not zero, so no
+        # path strips its result.
+        if len(a) < len(b):
+            a, b = b, a
+        n, p = len(b), self.p
+        if n < 2:
+            if not n:
+                return ()
+            c = b[0]
+            return a if c == 1 else tuple([x * c % p for x in a])
+        if len(a) * n >= _KRONECKER_MIN_TERMS:
+            # Kronecker substitution: pack each operand into one integer, a
+            # coefficient per slot, multiply, and read the product's exact
+            # coefficients back from the slots.  Each is a sum of at most n
+            # terms of at most (p-1)**2, so none overflows into the next.
+            slot = _KRONECKER_SLOTS.get(
+                (n * (p - 1) ** 2).bit_length() + 7 >> 3)
+            if slot is not None:
+                size, code = slot
+                packed = (int.from_bytes(array(code, a), _BYTE_ORDER)
+                          * int.from_bytes(array(code, b), _BYTE_ORDER))
+                raw = packed.to_bytes((len(a) + n - 1) * size, _BYTE_ORDER)
+                return tuple([c % p for c in memoryview(raw).cast(code)])
+        out = [0] * (len(a) + n - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] = (out[i + j] + ca * cb) % p
-        return self._strip(out)
+        return tuple(out)
 
     def _divmod(self, a, b):
         if not b:
@@ -283,6 +339,12 @@ class GFPolynomialRing(Ring):
         p = self.p
         if len(a) < len(b):
             return (), a
+        if len(b) == 1:  # b is a unit: the quotient is a scaled copy of a
+            c = b[0]
+            if c == 1:
+                return a, ()
+            c = pow(c, -1, p)
+            return tuple([x * c % p for x in a]), ()
         rem = list(a)
         quo = [0] * (len(a) - len(b) + 1)
         inv_lead = pow(b[-1], -1, p)
@@ -832,12 +894,40 @@ def _rho_split(n: int) -> int:
 
 
 def is_prime(a: RingElement) -> bool:
-    """Prime (irreducible) in its ring instance; certified over Z as in
-    ``factorize``, with the same PreconditionError beyond psi_13."""
+    """Prime (irreducible) in its ring instance.
+
+    Over Z certified as in ``factorize``, with the same PreconditionError
+    beyond psi_13; over GF(p)[x] by Rabin's irreducibility test, without
+    factoring.
+    """
     if a.is_zero or a.is_unit:
         return False
-    if isinstance(a.ring, IntegerRing):
+    ring = a.ring
+    if isinstance(ring, IntegerRing):
         return _int_is_prime(abs(a.payload))
-    f = factorize(a)
-    return len(f.factors) == 1 and f.factors[0][1] == 1
+    return _gf_irreducible(ring, normalize(a).canonical.payload)
+
+
+def _gf_irreducible(ring: GFPolynomialRing, f) -> bool:
+    """Rabin's test (Rabin 1980) on a monic payload f of degree n >= 1.
+
+    f is irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
+    for every prime q dividing n.  The powers x^(p^i) mod f come from n
+    successive p-th powers, each by square-and-multiply mod f.
+    """
+    n, p = len(f) - 1, ring.p
+    x = ring._divmod((0, 1), f)[1]
+    checks = {n // q for q, _ in _int_factor(n)} if n > 1 else set()
+    h = x
+    for i in range(1, n + 1):
+        base, e, h = h, p, (1,)
+        while e:  # h = base^p mod f
+            if e & 1:
+                h = ring._divmod(ring._mul(h, base), f)[1]
+            e >>= 1
+            if e:
+                base = ring._divmod(ring._mul(base, base), f)[1]
+        if i in checks and ring._gcd(ring._sub(h, x), f) != (1,):
+            return False
+    return h == x
 

@@ -9,15 +9,23 @@ call time so a test can count its calls.
 
 ``witness_holds`` is the full 2rho x 2rho block identity that the rho x rho
 ``StrongDecomposition.witness_holds`` replaced, kept as its oracle.
+
+``gf_mul`` is the schoolbook product that ``GFPolynomialRing._mul`` used
+for every size before it packed larger operands into one integer,
+``gf_divmod`` the long division it used for every divisor before it scaled
+by the inverse of a unit divisor, and ``gf_sub`` the two-pass difference it
+inherited; they are the oracles of those payload primitives.
 """
 
 from __future__ import annotations
 
 from smithfact.matrices import RingMatrix
-from smithfact.rings import divides, exact_div, gcd_bezout, normalize
+from smithfact.rings import (GFPolynomialRing, divides, exact_div,
+                             gcd_bezout, normalize)
 from smithfact.smith import SmithDecomposition
 
-__all__ = ["smith", "matmul", "det", "kron", "witness_holds"]
+__all__ = ["smith", "matmul", "det", "kron", "witness_holds", "gf_mul",
+           "gf_divmod", "gf_sub"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -183,3 +191,45 @@ def witness_holds(sd, a) -> bool:
     if t @ a.differential() != sd.normal_form().differential() @ t:
         return False
     return E.det().is_unit and O.det().is_unit
+
+
+_strip = GFPolynomialRing._strip
+
+
+def gf_mul(p: int, a: tuple, b: tuple) -> tuple:
+    """Product of two GF(p)[x] payloads, reducing mod p on every step."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _strip(out)
+
+
+def gf_divmod(p: int, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of GF(p)[x] payloads by long division."""
+    if len(a) < len(b):
+        return (), a
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], -1, p)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = (rem[shift + len(b) - 1] * inv_lead) % p
+        if c:
+            quo[shift] = c
+            for k, bc in enumerate(b):
+                rem[shift + k] = (rem[shift + k] - c * bc) % p
+    return _strip(quo), _strip(rem)
+
+
+def gf_sub(p: int, a: tuple, b: tuple) -> tuple:
+    """a + (-b) on GF(p)[x] payloads: negate, then add."""
+    neg = [(-c) % p for c in b]
+    if len(a) < len(neg):
+        a, neg = neg, a
+    out = list(a)
+    for i, c in enumerate(neg):
+        out[i] = (out[i] + c) % p
+    return _strip(out)

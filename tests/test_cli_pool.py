@@ -27,17 +27,10 @@ POOL = json.loads((ROOT / "bench" / "cli_pool.json")
 SMITH_CALLS = {"classify": 1, "classify_big": 1, "iso": 2, "iso_big": 2,
                "hom": 4, "cone": 1, "demo": 34}
 # Factorizations per successful call: classify and iso factor W once; demo
-# once per W section (12, 360 and the self-test's 360); cone, hom and a
-# quiver over Z never.  A quiver over GF(p)[x] makes one, in the primality
-# test of p (see ``_factorize_pin``).
+# once per W section (12, 360 and the self-test's 360); cone, hom and
+# quiver never (over GF(p)[x] the primality test of p is Rabin's test).
 FACTORIZE_CALLS = {"classify": 1, "classify_big": 1, "iso": 1, "iso_big": 1,
                    "demo": 3, "cone": 0, "hom": 0, "quiver": 0}
-
-
-def _factorize_pin(entry) -> int:
-    if entry["kind"] == "quiver" and "--ring" in entry["argv"]:
-        return 1
-    return FACTORIZE_CALLS[entry["kind"]]
 
 
 def _counter(monkeypatch, name, modules):
@@ -84,4 +77,4 @@ def test_pool_entry_replays(entry, monkeypatch, smith_calls,
     if code == 0 and entry["kind"] in SMITH_CALLS:
         assert len(smith_calls) == SMITH_CALLS[entry["kind"]]
     if code == 0 and entry["kind"] in FACTORIZE_CALLS:
-        assert len(factorize_calls) == _factorize_pin(entry)
+        assert len(factorize_calls) == FACTORIZE_CALLS[entry["kind"]]

@@ -1,14 +1,18 @@
-"""Payload kernels (smith, @, det, kron) against the element-level reference."""
+"""Payload kernels (smith, @, det, kron) and the GF(p)[x] payload product,
+difference and division against their reference implementations."""
 
 import random
 import sys
+import types
 
 import pytest
 
 import element_reference as ref
 from smithfact import (PreconditionError, RingElement, RingMatrix, kron,
                        random_matrix, smith)
-from smithfact.rings import BezoutCertificate, IntegerRing
+from smithfact import rings
+from smithfact.rings import (BezoutCertificate, GFPolynomialRing,
+                             IntegerRing, Ring, gf_polynomial_ring)
 from conftest import GF2, GF3, GF5, Z
 
 SWEEP_RINGS = [Z, GF2, GF3, GF5]
@@ -107,3 +111,98 @@ def test_det_refuses_an_inexact_bareiss_step(monkeypatch):
     monkeypatch.setattr(IntegerRing, "_sub", lambda self, a, b: a - b + 1)
     with pytest.raises(PreconditionError, match="2 does not divide"):
         RingMatrix.from_rows(Z, [[2, 1, 0], [0, 1, 0], [0, 0, 1]]).det()
+
+
+# the last two primes need more than 8 bytes per packed coefficient, from
+# 4 terms on and from 2 terms on, and take the schoolbook fallback
+SWEEP_PRIMES = [2, 3, 5, 7, 10007, 2**31 - 1, 10**18 + 3]
+SKEWED_SHAPES = [(1, 1), (1, 2), (1, 17), (1, 80), (2, 20), (4, 30),
+                 (3, 80), (80, 80)]
+
+
+def gf_operand_pairs(p, rng):
+    """Seeded GF(p)[x] payload pairs: each length 0..80 against a random
+    length, the skewed shapes both ways round, operands with zero inner
+    coefficients, and all-(p-1) operands, whose product coefficients reach
+    the packing bound."""
+    def dense(n):
+        if not n:
+            return ()
+        return (tuple(rng.randrange(p) for _ in range(n - 1))
+                + (rng.randrange(1, p),))
+
+    def sparse(n):
+        out = list(dense(n))
+        for i in range(1, n - 1):
+            if rng.random() < 0.8:
+                out[i] = 0
+        return tuple(out)
+
+    def full(n):
+        return (p - 1,) * n
+
+    for n in range(81):
+        for make in (dense, sparse, full):
+            yield make(n), make(rng.randint(0, 80))
+    for la, lb in SKEWED_SHAPES:
+        for make in (dense, sparse, full):
+            a, b = make(la), make(lb)
+            yield a, b
+            yield b, a
+
+
+@pytest.mark.parametrize("kronecker_everywhere", [False, True],
+                         ids=["crossover", "no-crossover"])
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_gf_payload_ops_match_schoolbook(p, kronecker_everywhere,
+                                         monkeypatch):
+    if kronecker_everywhere:  # small operands take the packed path too
+        monkeypatch.setattr(rings, "_KRONECKER_MIN_TERMS", 0)
+    ring = gf_polynomial_ring(p)
+    rng = random.Random(p)
+    for a, b in gf_operand_pairs(p, rng):
+        # a - a cancels to zero; a - a' with a' = a but for its constant
+        # term cancels down to a constant
+        near = ((rng.randrange(p),) + a[1:]) if len(a) > 1 else ()
+        cases = [(ring._mul(a, b), ref.gf_mul(p, a, b)),
+                 (ring._sub(a, b), ref.gf_sub(p, a, b)),
+                 (ring._sub(b, a), ref.gf_sub(p, b, a)),
+                 (ring._sub(a, a), ()),
+                 (ring._sub(a, near), ref.gf_sub(p, a, near))]
+        if b:  # b[-1:] is a unit divisor
+            for d in (b, b[-1:]):
+                cases += zip(ring._divmod(a, d), ref.gf_divmod(p, a, d))
+        for got, want in cases:
+            assert type(got) is tuple and got == want, (a, b)
+            assert not got or got[-1] != 0
+
+
+def test_payload_primitives_stay_plain_functions(monkeypatch):
+    # bench/tracing.py counts payload products and divisions by replacing
+    # these class attributes with a plain function of (self, a, b): a
+    # staticmethod or builtin would be called with one argument too many,
+    # and a _mul that called self._mul would be counted twice
+    for cls, names in ((Ring, ("_mul", "_divmod", "_xgcd")),
+                       (IntegerRing, ("_mul", "_divmod")),
+                       (GFPolynomialRing, ("_mul", "_divmod"))):
+        for name in names:
+            assert isinstance(vars(cls)[name], types.FunctionType), \
+                (cls, name)
+    rng = random.Random(53)
+    a = tuple(rng.randrange(3) for _ in range(29)) + (1,)
+    b = tuple(rng.randrange(3) for _ in range(29)) + (2,)
+    for cls, ring, x, y, want in (
+            (GFPolynomialRing, GF3, a, b, ref.gf_mul(3, a, b)),
+            (GFPolynomialRing, GF3, a, (2,), ref.gf_mul(3, a, (2,))),
+            (IntegerRing, Z, 6, -7, -42)):
+        calls = []
+        monkeypatch.setattr(cls, "_mul", _counting(vars(cls)["_mul"], calls))
+        assert ring._mul(x, y) == want
+        assert len(calls) == 1
+
+
+def _counting(real, calls):
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    return counting

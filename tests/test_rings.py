@@ -253,6 +253,39 @@ def test_is_prime():
     assert not is_prime(GF2.parse("x^2 + 1"))  # (x+1)^2
 
 
+@pytest.mark.parametrize("ring", [GF2, GF3], ids=lambda r: r.name)
+def test_rabin_matches_factorize_on_every_small_monic(ring):
+    from itertools import product
+
+    seen = 0
+    for deg in range(7):
+        for low in product(range(ring.p), repeat=deg):
+            f = ring.element(low + (1,))
+            fac = factorize(f)
+            irreducible = (len(fac.factors) == 1
+                           and fac.factors[0][1] == 1)
+            assert is_prime(f) == irreducible, f
+            assert is_prime(ring.from_int(-1) * f) == irreducible, f
+            seen += irreducible
+    assert seen == {2: 23, 3: 196}[ring.p]  # irreducible monics, deg 1..6
+
+
+def test_is_prime_over_gf_does_not_factor(monkeypatch):
+    def refuse(a):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(rings, "factorize", refuse)
+    assert is_prime(GF3.parse("x^2 + 1"))
+    assert not is_prime(GF5.parse("x^2 + 1"))  # (x+2)(x+3)
+    # p = 3 mod 8, so -1 and 2 are not squares mod p, and x^4 + 1 is
+    # reducible over every prime field
+    big = gf_polynomial_ring(1000000000000000003)
+    assert is_prime(big.parse("x + 5")) and is_prime(big.parse("x^2 + 1"))
+    assert is_prime(big.parse("x^2 - 2"))
+    assert not is_prime(big.parse("x^4 + 1"))
+    assert not is_prime(big.parse("x^3 + 1"))  # (x + 1) divides it
+
+
 # ---------------------------------------------------------------------------
 # the certified Z factorizer against the trial-division oracle
 
