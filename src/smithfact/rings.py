@@ -308,9 +308,9 @@ class GFPolynomialRing(Ring):
         if len(a) < len(b):
             a, b = b, a
         n, p = len(b), self.p
-        if n < 2:
-            if not n:
-                return ()
+        if n == 0:
+            return ()
+        if n == 1:
             c = b[0]
             return a if c == 1 else tuple([x * c % p for x in a])
         if len(a) * n >= _KRONECKER_MIN_TERMS:
