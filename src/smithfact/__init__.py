@@ -28,10 +28,10 @@ from .factorizations import (MatrixFactorization, MfMorphism, Triangle,
 from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
                        cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
-                       hmf_iso, hom_subquotients, induced_hom_iso, is_iso,
-                       is_iso_by_induced_homs, is_zero_object, localize_class,
-                       primary_decompose, primary_test_objects,
-                       strong_decompose, strong_iso, suspend_class)
+                       hom_subquotients, is_iso, is_zero_object,
+                       localize_class, primary_decompose,
+                       primary_test_objects, strong_decompose, strong_iso,
+                       suspend_class)
 from .artinian import (ARQuiver, ARSequence, CyclicDecomposition,
                        LambdaContext, ar_quiver, ar_sequence, cok_crosscheck,
                        decompose_module, delta, generation_steps, hom_cyclic,
@@ -63,8 +63,7 @@ __all__ = [
     "CriticalData", "critical_decompose", "critical_ideal_generator",
     "StrongDecomposition", "strong_decompose", "strong_iso",
     "is_zero_object", "cone_split", "is_iso", "HomModules", "hmf_hom",
-    "hom_subquotients", "induced_hom_iso", "is_iso_by_induced_homs",
-    "MfClass", "primary_decompose", "hmf_iso", "localize_class",
+    "hom_subquotients", "MfClass", "primary_decompose", "localize_class",
     "suspend_class", "primary_test_objects", "elementary_sum",
     "LambdaContext", "delta", "mu", "hom_module", "stable_hom", "hom_cyclic",
     "syzygy", "quotient", "CyclicDecomposition", "decompose_module",

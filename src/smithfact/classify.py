@@ -35,8 +35,7 @@ from .factorizations import (MatrixFactorization, MfMorphism, elementary,
 from .matrices import RingMatrix
 from .rings import (RingElement, divides, exact_div, factorize, gcd, gcd_all,
                     normalize)
-from .smith import (ModuleInvariants, Subquotient, _kernel_coordinates, smith,
-                    subquotient)
+from .smith import ModuleInvariants, Subquotient, smith, subquotient
 
 __all__ = [
     "CriticalData",
@@ -51,11 +50,8 @@ __all__ = [
     "HomModules",
     "hmf_hom",
     "hom_subquotients",
-    "induced_hom_iso",
-    "is_iso_by_induced_homs",
     "MfClass",
     "primary_decompose",
-    "hmf_iso",
     "localize_class",
     "suspend_class",
     "primary_test_objects",
@@ -253,71 +249,6 @@ def hmf_hom(a: MatrixFactorization, b: MatrixFactorization) -> HomModules:
     return HomModules(even.invariants, odd.invariants)
 
 
-def _postcompose_matrix(f: MfMorphism, t: MatrixFactorization) -> RingMatrix:
-    """Matrix of g -> f o g on flattened component pairs Hom(t, source) ->
-    Hom(t, target); the same matrix acts on even and odd pairs."""
-    from .matrices import kron
-
-    eye_t = RingMatrix.identity(f.ring, t.rho)
-    blk00 = kron(f.f00, eye_t)
-    blk11 = kron(f.f11, eye_t)
-    za = RingMatrix.zeros(f.ring, blk00.rows, blk11.cols)
-    zb = RingMatrix.zeros(f.ring, blk11.rows, blk00.cols)
-    return RingMatrix.block([[blk00, za], [zb, blk11]])
-
-
-def induced_hom_iso(f: MfMorphism, t: MatrixFactorization) -> bool:
-    """Whether Hom(t, f) is invertible on both hom-module degrees.
-
-    Surjectivity plus equal order (``_order``) decides invertibility for
-    these finite-length modules.
-    """
-    src_even, src_odd = hom_subquotients(t, f.source)
-    dst_even, dst_odd = hom_subquotients(t, f.target)
-    lmat = _postcompose_matrix(f, t)
-    return (_presented_map_iso(src_even, dst_even, lmat)
-            and _presented_map_iso(src_odd, dst_odd, lmat))
-
-
-def _order(m: ModuleInvariants) -> RingElement:
-    """The order of a finite-length module: the product of its torsion
-    factors, canonical because each factor is.
-
-    Over a PID the order is multiplicative in short exact sequences, and
-    its prime factors, counted with multiplicity, number the length.  So a
-    surjection between modules of equal order has a kernel of order 1,
-    hence zero, and is an isomorphism.  Equal orders give equal lengths,
-    and a surjection between modules of equal length is an isomorphism,
-    which forces equal orders: comparing orders gives every answer that
-    comparing lengths gave, with no factoring.
-    """
-    order = m.ring.one
-    for d in m.torsion_factors:
-        order = order * d
-    return order
-
-
-def _presented_map_iso(src: Subquotient, dst: Subquotient,
-                       lmat: RingMatrix) -> bool:
-    y = _kernel_coordinates(dst.outer_smith, lmat @ src.generators)
-    if y is None:
-        raise ValidationError("induced map does not preserve cocycles")
-    if src.invariants.free_rank or dst.invariants.free_rank:
-        raise ValidationError("hom modules must have finite length")
-    if _order(src.invariants) != _order(dst.invariants):
-        return False
-    onto = RingMatrix.block([[y, dst.relations]])
-    dec = smith(onto)
-    if dec.rank != y.rows:
-        return False
-    return all(d.is_unit for d in dec.invariant_factors)
-
-
-def is_iso_by_induced_homs(f: MfMorphism, tests) -> bool:
-    """Invertibility probed through Hom(t, -) for each test object."""
-    return all(induced_hom_iso(f, t) for t in tests)
-
-
 @dataclass(frozen=True)
 class MfClass:
     """Homotopy-isomorphism class: a multiset of primary labels (p, i),
@@ -384,13 +315,6 @@ def primary_decompose(a: MatrixFactorization,
     return MfClass.from_divisors(cd, strong_decompose(a).factors)
 
 
-def hmf_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
-    if a.W != b.W:
-        raise ValidationError("objects factor different elements")
-    cd = critical_decompose(a.W)
-    return primary_decompose(a, cd).labels == primary_decompose(b, cd).labels
-
-
 def localize_class(c: MfClass, p: RingElement) -> MfClass:
     """Restrict a class to one critical prime."""
     p = normalize(p).canonical
@@ -411,8 +335,8 @@ def suspend_class(c: MfClass) -> MfClass:
 
 
 def primary_test_objects(cd: CriticalData) -> list[MatrixFactorization]:
-    """The non-zero primary elementary objects e_{p^i}, the generators used
-    by the induced-hom invertibility probe."""
+    """The non-zero primary elementary objects e_{p^i}, ordered by prime and
+    then by i; ``artinian.cok_crosscheck`` checks their hom modules."""
     return [elementary(p ** i, cd.W)
             for p, n in cd.critical for i in range(1, n)]
 

@@ -71,10 +71,10 @@ def _fallback_ring(args) -> Ring:
     return _default_ring(args) or ring_from_text("Z")
 
 
-def _matrix_lines(m: RingMatrix, indent: str = "  ") -> list[str]:
+def _matrix_lines(m: RingMatrix) -> list[str]:
     if m.rows == 0 or m.cols == 0:
-        return [f"{indent}({m.rows} x {m.cols} empty)"]
-    return [indent + line for line in str(m).splitlines()]
+        return [f"  ({m.rows} x {m.cols} empty)"]
+    return ["  " + line for line in str(m).splitlines()]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -178,7 +178,12 @@ def _cmd_hom(args) -> str:
     return f"even: {hom.even}\nodd: {hom.odd}\n"
 
 
+_QUIVER_MAX_N = 10_000  # the DOT output grows linearly in n
+
+
 def _cmd_quiver(args) -> str:
+    if args.n > _QUIVER_MAX_N:
+        raise PreconditionError(f"n exceeds the quiver bound {_QUIVER_MAX_N}")
     ring = _fallback_ring(args)
     p = jsonio.parse_element(ring, args.p)
     ctx = artinian.LambdaContext(p, args.n)

@@ -253,6 +253,7 @@ def _kronecker_slots() -> dict[int, tuple[int, str]]:
 _KRONECKER_SLOTS = _kronecker_slots()
 _KRONECKER_MIN_TERMS = 20  # len(a)*len(b) below which the loop is faster
 _BYTE_ORDER = sys.byteorder
+_MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
 
 
 class GFPolynomialRing(Ring):
@@ -412,6 +413,10 @@ class GFPolynomialRing(Ring):
                 exp = int(m.group(4) or 1) if "x" in chunk else 0
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
+            if exp > _MAX_LITERAL_DEGREE:
+                raise ParseError(f"exponent exceeds the degree bound "
+                                 f"{_MAX_LITERAL_DEGREE} in a {self.name} "
+                                 f"literal")
             coeffs[exp] = coeffs.get(exp, 0) + sign * coef
         out = [0] * (max(coeffs) + 1 if coeffs else 0)
         for e, c in coeffs.items():

@@ -15,8 +15,7 @@ invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
 plus R^(rows - rank) (``image_cokernel_invariants``).  ker(outer)/im(inner)
 is the cokernel of its relations, the coordinates of im(inner) in the
 kernel basis, so ``subquotient`` reads its invariants the same way.
-Nothing here factors an element (``classify`` compares module orders, not
-lengths).
+Nothing here factors an element.
 
 Determinantal invariants (gcds of k x k minors) provide an independent
 oracle for the invariant factors on inputs up to MINOR_ORACLE_CAP; larger

@@ -30,7 +30,6 @@ from smithfact import (
     hmf_hom,
     invariant_factors_via_delta,
     is_iso,
-    is_iso_by_induced_homs,
     is_zero_object,
     mu,
     primary_decompose,
@@ -43,6 +42,8 @@ from smithfact import (
     RingMatrix,
     ZZ,
 )
+
+from hom_reference import is_iso_by_induced_homs
 
 GF3 = gf_polynomial_ring(3)
 GF5 = gf_polynomial_ring(5)

@@ -27,16 +27,14 @@ from smithfact import (
     factorize,
     gcd,
     hmf_hom,
-    hmf_iso,
     identity_morphism,
-    induced_hom_iso,
     is_iso,
-    is_iso_by_induced_homs,
     is_zero_object,
     lcm,
     localize_class,
     primary_decompose,
     primary_test_objects,
+    random_element,
     smith,
     strong_decompose,
     strong_iso,
@@ -44,10 +42,12 @@ from smithfact import (
     suspension,
     zero_morphism,
 )
-from smithfact.classify import (_elementary_scalar, _postcompose_matrix,
-                                hom_subquotients)
+from smithfact.classify import _elementary_scalar, hom_subquotients
+from smithfact.cli import _iso_answers
 from smithfact.smith import _kernel_coordinates
 from conftest import GF3, Z, z
+from hom_reference import (induced_hom_iso, is_iso_by_induced_homs,
+                           postcompose_matrix)
 
 
 def e(v, W):
@@ -430,11 +430,15 @@ def test_from_labels_validation():
         MfClass.from_labels(cd, [(z(2), 3)])
 
 
+def _hmf_iso(a, b):
+    return _iso_answers(a, b, critical_decompose(a.W))[1]
+
+
 def test_hmf_iso_examples():
-    assert hmf_iso(e(2, 12), e(6, 12))
-    assert not hmf_iso(e(2, 8), e(4, 8))
+    assert _hmf_iso(e(2, 12), e(6, 12))
+    assert not _hmf_iso(e(2, 8), e(4, 8))
     a = e(2, 12)
-    assert hmf_iso(a, direct_sum(a, e(1, 12)))
+    assert _hmf_iso(a, direct_sum(a, e(1, 12)))
 
 
 def test_localize_class():
@@ -494,7 +498,7 @@ def _length_probe(f, tests):
                 and all(d.is_unit for d in dec.invariant_factors))
 
     for t in tests:
-        lmat = _postcompose_matrix(f, t)
+        lmat = postcompose_matrix(f, t)
         pairs = zip(hom_subquotients(t, f.source),
                     hom_subquotients(t, f.target))
         if not all(presented_map_iso(s, d, lmat) for s, d in pairs):
@@ -521,6 +525,23 @@ def test_induced_hom_probe_orders_agree_with_lengths(W, rate):
                 probed += 1
                 isos += got
     assert probed >= 40 and 0 < isos < probed
+
+
+def test_induced_hom_probe_over_gf():
+    rng = random.Random("probe:gf")
+    x = GF3.parse("x")
+    W = x ** 2 * (x + GF3.one) ** 2
+    tests = primary_test_objects(critical_decompose(W))
+    divs = _divisor_grid(W)
+    isos = 0
+    for _ in range(60):
+        src, dst = (elementary(rng.choice(divs), W) for _ in range(2))
+        r = random_element(GF3, rng, max_degree=3)
+        f = elementary_morphism(src, dst, r)
+        got = is_iso(f)
+        assert got == is_iso_by_induced_homs(f, tests)
+        isos += got
+    assert 0 < isos < 60
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,23 @@ def test_quiver_bad_n_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("n", ["10001", "99999999999999999999999"])
+def test_quiver_n_past_bound_exit_4(capsys, n):
+    code, out, err = run(capsys, "quiver", "2", n)
+    assert code == 4 and out == ""
+    assert err == "precondition violated: n exceeds the quiver bound 10000\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["quiver", "x^1000000000000", "2"],
+    ["classify", '{"W": "x^1000000000000", "elementary": "x"}'],
+])
+def test_gf_exponent_past_degree_bound_exit_2(capsys, command):
+    code, out, err = run(capsys, *command, "--ring", "GF(3)[x]")
+    assert code == 2 and out == ""
+    assert "degree bound 100000" in err and err.count("\n") == 1
+
+
 def test_quiver_large_prime(capsys):
     code, out, err, seconds = timed_run(capsys, "quiver",
                                         "1000000000000000003", "2")

@@ -63,6 +63,13 @@ def test_gf_parse_reduces_coefficients():
     assert GF2.parse("x^2 + 3*x") == GF2.parse("x^2 + x")
 
 
+def test_gf_parse_refuses_exponents_past_the_degree_bound():
+    assert len(GF3.parse("x^100000").payload) == 100001
+    for text in ("x^100001", "x^1000000000000", "1+2*x^1000000000000"):
+        with pytest.raises(ParseError, match="degree bound 100000"):
+            GF3.parse(text)
+
+
 def test_gf_zero_has_no_trailing_junk():
     e = GF3.parse("x") - GF3.parse("x")
     assert e.is_zero
