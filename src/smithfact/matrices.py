@@ -13,6 +13,14 @@ only at the edge: ``from_rows``, ``diagonal`` and ``scale`` accept elements
 or ints and check each element's ring once, and ``entries``, ``entry``,
 ``row``, ``column`` and ``det`` wrap on the way out.  Rings are interned, so
 every ring check here is an identity test.
+
+``@`` checks the shapes and hands the payloads to the ring's ``_matmul``,
+a payload primitive like ``_mul``: over Z each entry is one
+``sum(map(operator.mul, row, col))``, over GF(p)[x] each entry is one
+packed big-integer dot product (see ``rings``).  ``det`` stays generic,
+Bareiss elimination on the ring's ``_sub``/``_mul``/``_divmod``: over
+GF(p)[x] its cost is the exact polynomial division of each step, which a
+packed product does not remove.
 """
 
 from __future__ import annotations
@@ -186,21 +194,9 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValidationError(
                 f"cannot multiply {self.shape} by {other.shape}")
-        ring = self.ring
-        add, mul = ring._add, ring._mul
-        zero = ring._from_int(0)
-        k, n = self.cols, other.cols
-        ap, bp = self.payloads, other.payloads
-        b_cols = [bp[j::n] for j in range(n)]
-        out = []
-        for i in range(self.rows):
-            arow = ap[i * k:(i + 1) * k]
-            for col in b_cols:
-                acc = zero
-                for p, q in zip(arow, col):
-                    acc = add(acc, mul(p, q))
-                out.append(acc)
-        return RingMatrix(ring, self.rows, n, out)
+        ring, n = self.ring, other.cols
+        return RingMatrix(ring, self.rows, n, ring._matmul(
+            self.payloads, other.payloads, self.rows, self.cols, n))
 
     def transpose(self) -> "RingMatrix":
         c = self.cols

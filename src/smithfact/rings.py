@@ -17,12 +17,22 @@ each operand is packed into one integer, a fixed-width slot per
 coefficient, so one built-in big-integer product does the work of the
 double loop.  Small operands, and primes whose slots would need more than
 8 bytes, keep the schoolbook loop.
+
+Matrix products are a payload primitive too, ``_matmul``: the base class
+keeps the schoolbook loop over ``_add`` and ``_mul``, Z sums built-in
+products, and GF(p)[x] packs every entry of both operands once, so each
+output entry is one big-integer dot product, unpacked once.  A slot then
+holds k*min(la, lb) terms of at most (p-1)**2 (k the inner dimension, la
+and lb the longest entries).  Products whose loop would make fewer than
+``_KRONECKER_MATMUL_MIN`` coefficient products (rows*k*n*la*lb), and
+slots past 8 bytes, fall back to the loop.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
 from array import array
@@ -163,6 +173,22 @@ class Ring:
         u = self._canonical_unit(r0)
         return self._mul(u, r0), self._mul(u, x0), self._mul(u, y0)
 
+    def _matmul(self, ap, bp, rows: int, k: int, n: int) -> list:
+        """Row-major payloads of the (rows x k) by (k x n) product of the
+        row-major payload tuples ap and bp."""
+        add, mul = self._add, self._mul
+        zero = self._from_int(0)
+        b_cols = [bp[j::n] for j in range(n)]
+        out = []
+        for i in range(rows):
+            arow = ap[i * k:(i + 1) * k]
+            for col in b_cols:
+                acc = zero
+                for p, q in zip(arow, col):
+                    acc = add(acc, mul(p, q))
+                out.append(acc)
+        return out
+
     def _gcd(self, a, b):
         zero = self._from_int(0)
         while b != zero:
@@ -198,6 +224,11 @@ class IntegerRing(Ring):
 
     def _divmod(self, a, b):
         return divmod(a, b)
+
+    def _matmul(self, ap, bp, rows, k, n):
+        b_cols = [bp[j::n] for j in range(n)]
+        return [sum(map(operator.mul, ap[i * k:(i + 1) * k], col))
+                for i in range(rows) for col in b_cols]
 
     def _is_unit(self, a):
         return a in (1, -1)
@@ -252,6 +283,9 @@ def _kronecker_slots() -> dict[int, tuple[int, str]]:
 
 _KRONECKER_SLOTS = _kronecker_slots()
 _KRONECKER_MIN_TERMS = 20  # len(a)*len(b) below which the loop is faster
+# rows*k*n*la*lb (the loop's coefficient products) below which the loop is
+# faster than packing a matrix product's entries
+_KRONECKER_MATMUL_MIN = 256
 _BYTE_ORDER = sys.byteorder
 _MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
 
@@ -279,13 +313,17 @@ class GFPolynomialRing(Ring):
         return tuple(coeffs[:i])
 
     def _add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
         p = self.p
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % p
-        return self._strip(out)
+        return self._strip(out) if len(a) == len(b) else tuple(out)
 
     def _neg(self, a):
         p = self.p
@@ -333,6 +371,29 @@ class GFPolynomialRing(Ring):
                 for j, cb in enumerate(b):
                     out[i + j] = (out[i + j] + ca * cb) % p
         return tuple(out)
+
+    def _matmul(self, ap, bp, rows, k, n):
+        # a slot holds a sum of k*min(la, lb) terms of at most (p-1)**2
+        la = max(map(len, ap), default=0)
+        lb = max(map(len, bp), default=0)
+        p = self.p
+        slot = _KRONECKER_SLOTS.get(
+            (k * min(la, lb) * (p - 1) ** 2).bit_length() + 7 >> 3)
+        if slot is None or rows * k * n * la * lb < _KRONECKER_MATMUL_MIN:
+            return super()._matmul(ap, bp, rows, k, n)
+        size, code = slot
+        pa = [int.from_bytes(array(code, x), _BYTE_ORDER) for x in ap]
+        pb = [int.from_bytes(array(code, x), _BYTE_ORDER) for x in bp]
+        b_cols = [pb[j::n] for j in range(n)]
+        width, strip = (la + lb - 1) * size, self._strip
+        out = []
+        for i in range(rows):
+            arow = pa[i * k:(i + 1) * k]
+            for col in b_cols:
+                v = sum(map(operator.mul, arow, col))
+                out.append(strip([c % p for c in memoryview(
+                    v.to_bytes(width, _BYTE_ORDER)).cast(code)]) if v else ())
+        return out
 
     def _divmod(self, a, b):
         if not b:

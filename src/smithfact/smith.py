@@ -10,6 +10,13 @@ V, v_inv and the chain only; the rank and D are derived from them, and
 matrices' raw payloads; ``RingElement`` values appear only in the Bezout
 certificates it requests and in the invariant factors it returns.
 
+Most Bezout blocks are plain eliminations: when the pivot a divides b the
+certificate is (x, y) = (1, 0) with s = a/g = 1, the block is
+[[1, 0], [-t, 1]], and only the eliminated row or column (and one row of
+V) changes, by ``q - t*p`` with the zero entries p skipped.  Every other
+block, including any certificate with s != 1, takes the general two-row
+combination.
+
 Module invariants come from the same reduction: U * A = D * V with U, V
 invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
 plus R^(rows - rank) (``image_cokernel_invariants``).  ker(outer)/im(inner)
@@ -110,6 +117,7 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     The reduction runs on rows of raw payloads with the ring's primitives
     bound to locals; each Bezout block takes its certificate from
     ``gcd_bezout``, and U, V and v_inv are built from the payload rows.
+    A block (x, y, s) = (1, 0, 1) is applied as a plain elimination.
     """
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
@@ -148,8 +156,14 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     def row_combine(i, j):
         """Left-multiply rows (i, j) by [[x, y], [-b/g, a/g]] for the pivot
-        column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0."""
+        column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0.
+        When a | b the block is [[1, 0], [-t, 1]]: plain elimination."""
         x, y, s, t = bezout_block(B[i][k], B[j][k])
+        if x == one and y == zero and s == one:
+            for mat in (B, U):
+                mat[j] = [q if p == zero else sub(q, mul(t, p))
+                          for p, q in zip(mat[i], mat[j])]
+            return
         for mat in (B, U):
             ri, rj = mat[i], mat[j]
             mat[i] = [add(mul(x, p), mul(y, q)) for p, q in zip(ri, rj)]
@@ -157,8 +171,18 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     def col_combine(i, j):
         """Right-multiply columns (i, j) by the analogous Bezout block for
-        the pivot row entries a = B[k][i], b = B[k][j]."""
+        the pivot row entries a = B[k][i], b = B[k][j]; V takes the inverse
+        block from the left."""
         x, y, s, t = bezout_block(B[k][i], B[k][j])
+        if x == one and y == zero and s == one:
+            for mat in (B, Vi):
+                for row in mat:
+                    p = row[i]
+                    if p != zero:
+                        row[j] = sub(row[j], mul(t, p))
+            V[i] = [p if q == zero else add(p, mul(t, q))
+                    for p, q in zip(V[i], V[j])]
+            return
         for mat in (B, Vi):
             for row in mat:
                 p, q = row[i], row[j]

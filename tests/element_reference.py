@@ -13,8 +13,10 @@ call time so a test can count its calls.
 ``gf_mul`` is the schoolbook product that ``GFPolynomialRing._mul`` used
 for every size before it packed larger operands into one integer,
 ``gf_divmod`` the long division it used for every divisor before it scaled
-by the inverse of a unit divisor, and ``gf_sub`` the two-pass difference it
-inherited; they are the oracles of those payload primitives.
+by the inverse of a unit divisor, ``gf_sub`` the two-pass difference it
+inherited, and ``gf_add`` the sum that always copied and stripped; they are
+the oracles of those payload primitives.  ``matmul`` is also the oracle of
+each ring's ``_matmul``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from smithfact.rings import (GFPolynomialRing, divides, exact_div,
 from smithfact.smith import SmithDecomposition
 
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds", "gf_mul",
-           "gf_divmod", "gf_sub"]
+           "gf_divmod", "gf_sub", "gf_add"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -233,3 +235,10 @@ def gf_sub(p: int, a: tuple, b: tuple) -> tuple:
     for i, c in enumerate(neg):
         out[i] = (out[i] + c) % p
     return _strip(out)
+
+
+def gf_add(p: int, a: tuple, b: tuple) -> tuple:
+    """Coefficientwise sum of GF(p)[x] payloads, zero-padded, then stripped."""
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _strip([(x + y) % p for x, y in zip(a, b)])

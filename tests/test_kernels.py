@@ -1,6 +1,8 @@
-"""Payload kernels (smith, @, det, kron) and the GF(p)[x] payload product,
-difference and division against their reference implementations."""
+"""Payload kernels (smith, @, det, kron), each ring's matrix product and
+the GF(p)[x] payload sum, product, difference and division against their
+reference implementations."""
 
+import itertools
 import random
 import sys
 import types
@@ -30,6 +32,19 @@ def sweep_inputs(ring, seed):
                          random_matrix(ring, rng, low, c))
 
 
+# snf_certify's largest shapes: (ring, rows, cols, random_matrix options)
+BENCH_SHAPES = {Z: [(16, 16, {"int_bound": 50}), (15, 16, {"int_bound": 50})],
+                GF3: [(8, 8, {"max_degree": 4})],
+                GF5: [(8, 8, {"max_degree": 4})]}
+
+
+def bench_inputs(ring, seed, per_shape=3):
+    rng = random.Random(seed)
+    for r, c, kw in BENCH_SHAPES.get(ring, ()):
+        for _ in range(per_shape):
+            yield random_matrix(ring, rng, r, c, **kw)
+
+
 def counted(monkeypatch, module, calls):
     real = module.gcd_bezout
 
@@ -46,7 +61,7 @@ def test_smith_matches_element_reference(ring, monkeypatch):
     kernel_calls, ref_calls = [], []
     counted(monkeypatch, sys.modules["smithfact.smith"], kernel_calls)
     counted(monkeypatch, ref, ref_calls)
-    for a in sweep_inputs(ring, 41):
+    for a in itertools.chain(sweep_inputs(ring, 41), bench_inputs(ring, 44)):
         got, want = smith(a), ref.smith(a)
         assert (got.U, got.V, got.D, got.v_inv) == \
             (want.U, want.V, want.D, want.v_inv)
@@ -103,6 +118,56 @@ def test_smith_refuses_an_inexact_bezout_quotient(monkeypatch):
     monkeypatch.setattr(module, "gcd_bezout", doubled)
     with pytest.raises(PreconditionError, match="does not divide"):
         smith(RingMatrix.from_rows(Z, [[3, 5], [7, 11]]))
+
+
+@pytest.mark.parametrize("ring, unit", [(Z, -1), (GF3, 2)],
+                         ids=["Z", "GF(3)[x]"])
+def test_smith_takes_the_general_block_for_a_non_canonical_gcd(
+        ring, unit, monkeypatch):
+    # (g, x, y) = (unit*a, 1, 0) passes both quotient checks when a | b but
+    # has s = a/g != 1: it is no plain elimination, so the kernel must
+    # apply the general block [[x, y], [-t, s]] exactly as the reference
+    # does.  That block has determinant s, a unit: U*A = B still holds, so
+    # a column (row blocks only) verifies.  The column blocks' V update
+    # inverts a block only of determinant 1, so wider inputs may not.
+    calls = []
+
+    def bogus(a, b):
+        calls.append(1)
+        assert len(calls) < 10_000, "elimination does not terminate"
+        return BezoutCertificate(a * unit, ring.one, ring.zero)
+
+    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout", bogus)
+    monkeypatch.setattr(ref, "gcd_bezout", bogus)
+    rng = random.Random(59)
+
+    def factor(n, chained):
+        """n random entries; when chained, multiples of the first."""
+        m = random_matrix(ring, rng, n, 1)
+        if chained:
+            d = m.entry(0, 0)
+            m = RingMatrix.from_rows(ring, [[d]] + [[d * e] for e in
+                                                   m.entries[1:]])
+        return m
+
+    done = {1: 0, 4: 0}
+    for cols in done:
+        for trial in range(30):
+            a = ref.matmul(factor(3, trial % 2),
+                           factor(cols, trial % 2).transpose())
+            try:
+                got = smith(a)
+            except PreconditionError as exc:
+                assert "does not divide" in str(exc)
+                with pytest.raises(PreconditionError, match="does not divide"):
+                    ref.smith(a)
+                continue
+            want = ref.smith(a)
+            assert (got.U, got.V, got.v_inv, got.invariant_factors) == \
+                (want.U, want.V, want.v_inv, want.invariant_factors)
+            assert cols > 1 or got.verify(a)
+            done[cols] += 1
+    assert calls and all(done.values()), done
 
 
 def test_det_refuses_an_inexact_bareiss_step(monkeypatch):
@@ -164,7 +229,13 @@ def test_gf_payload_ops_match_schoolbook(p, kronecker_everywhere,
         # a - a cancels to zero; a - a' with a' = a but for its constant
         # term cancels down to a constant
         near = ((rng.randrange(p),) + a[1:]) if len(a) > 1 else ()
+        # a + (-near) cancels down to a constant, a + (-a) to zero
+        neg_near = tuple((-c) % p for c in near)
         cases = [(ring._mul(a, b), ref.gf_mul(p, a, b)),
+                 (ring._add(a, b), ref.gf_add(p, a, b)),
+                 (ring._add(b, a), ref.gf_add(p, b, a)),
+                 (ring._add(a, ring._neg(a)), ()),
+                 (ring._add(a, neg_near), ref.gf_add(p, a, neg_near)),
                  (ring._sub(a, b), ref.gf_sub(p, a, b)),
                  (ring._sub(b, a), ref.gf_sub(p, b, a)),
                  (ring._sub(a, a), ()),
@@ -175,6 +246,77 @@ def test_gf_payload_ops_match_schoolbook(p, kronecker_everywhere,
         for got, want in cases:
             assert type(got) is tuple and got == want, (a, b)
             assert not got or got[-1] != 0
+
+
+# (rows, k, n): empty and one-by-one shapes, outer and inner products, and
+# squares up to snf_certify's largest GF(p)[x] shape
+MATMUL_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1),
+                 (2, 2, 2), (3, 4, 2), (1, 8, 1), (8, 1, 8), (5, 5, 5),
+                 (8, 8, 8)]
+
+
+def matmul_operands(ring, rng):
+    """Seeded payload operands (a, b, rows, k, n) for ``ring._matmul``: per
+    shape a random pair, an all-zero left and right operand, and one whose
+    entries reach the packing bound (all-(p-1) coefficients, or over Z
+    entries past 2**64)."""
+    if ring is Z:
+        def entry(full):
+            bits = 100 if full else rng.choice((4, 70))
+            return rng.choice((-1, 1)) * rng.getrandbits(bits)
+    else:
+        p = ring.p
+
+        def entry(full):
+            n = 7 if full else rng.randint(0, 7)
+            if full:
+                return (p - 1,) * n
+            return tuple(rng.randrange(p) for _ in range(n - 1)) + \
+                ((rng.randrange(1, p),) if n else ())
+    zero = ring._from_int(0)
+    for r, k, n in MATMUL_SHAPES:
+        rand = [entry(False) for _ in range(r * k)], \
+            [entry(False) for _ in range(k * n)]
+        full = [entry(True) for _ in range(r * k)], \
+            [entry(True) for _ in range(k * n)]
+        for a, b in (rand, full, ([zero] * (r * k), rand[1]),
+                     (rand[0], [zero] * (k * n))):
+            yield tuple(a), tuple(b), r, k, n
+
+
+@pytest.mark.parametrize("kronecker_everywhere", [False, True],
+                         ids=["crossover", "no-crossover"])
+@pytest.mark.parametrize("ring", [Z] + [gf_polynomial_ring(p)
+                                        for p in SWEEP_PRIMES],
+                         ids=lambda r: r.name)
+def test_matmul_matches_element_reference(ring, kronecker_everywhere,
+                                          monkeypatch):
+    if kronecker_everywhere:  # small products take the packed path too
+        monkeypatch.setattr(rings, "_KRONECKER_MATMUL_MIN", 0)
+    loops = []  # GF(p)[x] products that fell back to the schoolbook loop
+    monkeypatch.setattr(Ring, "_matmul",
+                        _counting(vars(Ring)["_matmul"], loops))
+    rng = random.Random(61)
+    total = 0
+    for a, b, r, k, n in matmul_operands(ring, rng):
+        got = ring._matmul(a, b, r, k, n)
+        want = ref.matmul(RingMatrix(ring, r, k, a), RingMatrix(ring, k, n, b))
+        assert tuple(got) == want.payloads, (a, b)
+        if ring is Z:
+            assert all(type(e) is int for e in got)
+        else:
+            assert all(type(e) is tuple and (not e or e[-1] != 0)
+                       for e in got), got
+        total += 1
+    if ring is not Z:
+        packed = total - len(loops)
+        assert loops  # empty, all-zero and small products
+        # 10**18+3 needs slots past 8 bytes, so every product takes the
+        # loop; over 2**31-1 only products below the crossover fit 8 bytes
+        if ring.p == 10**18 + 3:
+            assert packed == 0
+        elif kronecker_everywhere or ring.p < 2**31 - 1:
+            assert packed > 0
 
 
 def test_payload_primitives_stay_plain_functions(monkeypatch):
