@@ -10,8 +10,7 @@ back to the matrix-factorization hom modules computed by the SNF machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .classify import (critical_decompose, hmf_hom, primary_decompose,
                        primary_test_objects)
@@ -41,21 +40,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LambdaContext:
-    """The quotient ring by p^n; p is pinned to its canonical associate."""
-
+class _LambdaFields(NamedTuple):
     p: RingElement
     n: int
 
-    def __post_init__(self):
+
+class LambdaContext(_LambdaFields):
+    """The quotient ring by p^n; p is pinned to its canonical associate.
+
+    A NamedTuple body may not define ``__new__``, so the fields live on a
+    base class and the checks here.  ``_make`` goes through them too, so
+    ``_replace``, unpickling and copying build only checked contexts.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: RingElement, n: int):
         # n = 1 gives a semisimple quotient with no stable theory; keep n >= 2
-        if not isinstance(self.n, int) or self.n < 2:
+        if not isinstance(n, int) or n < 2:
             raise ValidationError("n must be an integer >= 2")
-        canonical = normalize(self.p).canonical
+        canonical = normalize(p).canonical
         if not is_prime(canonical):
-            raise ValidationError(f"{self.p.text()} is not prime")
-        object.__setattr__(self, "p", canonical)
+            raise ValidationError(f"{p.text()} is not prime")
+        return super().__new__(cls, canonical, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def modulus(self) -> RingElement:
@@ -120,8 +131,7 @@ def quotient(ctx: LambdaContext, i: int, j: int) -> int:
     return i - j
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(NamedTuple):
     """A finite multiset of indecomposables V_i, 1 <= i <= n."""
 
     context: LambdaContext
@@ -176,8 +186,7 @@ def decompose_module(ctx: LambdaContext,
     return CyclicDecomposition.from_counts(ctx, counts)
 
 
-@dataclass(frozen=True)
-class ARSequence:
+class ARSequence(NamedTuple):
     """Almost split sequence 0 -> V_i -> middle -> V_i -> 0."""
 
     left: int
@@ -198,8 +207,7 @@ def ar_sequence(ctx: LambdaContext, i: int) -> ARSequence:
                       right=i)
 
 
-@dataclass(frozen=True)
-class ARQuiver:
+class ARQuiver(NamedTuple):
     """Auslander-Reiten quiver; every arrow carries valuation (1, 1).
 
     translation pairs (i, tau(i)); tau(i) is None exactly on projective

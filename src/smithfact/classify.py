@@ -26,7 +26,6 @@ cocycle/boundary subquotient, never from assumed closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriticalData:
+class CriticalData(NamedTuple):
     """W = unit * W0 * prod(p^n) with W0 square-free and coprime to the
     critical primes; critical lists the (p, n) with n >= 2, p canonical."""
 
@@ -107,8 +105,7 @@ def critical_ideal_generator(cd: CriticalData) -> RingElement:
     return g
 
 
-@dataclass(frozen=True)
-class StrongDecomposition:
+class StrongDecomposition(NamedTuple):
     """Diagonalization of an object to a sum of elementary factorizations.
 
     factors is the divisibility chain d1 | ... | d_rho; the block transform
@@ -249,8 +246,7 @@ def hmf_hom(a: MatrixFactorization, b: MatrixFactorization) -> HomModules:
     return HomModules(even.invariants, odd.invariants)
 
 
-@dataclass(frozen=True)
-class MfClass:
+class MfClass(NamedTuple):
     """Homotopy-isomorphism class: a multiset of primary labels (p, i),
     p critical in W and 1 <= i <= n_p - 1, sorted canonically."""
 

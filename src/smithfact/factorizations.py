@@ -17,7 +17,7 @@ commutation condition implies the second (see ``MatrixFactorization`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .matrices import RingMatrix, kron
@@ -296,8 +296,7 @@ def cone(f: MfMorphism) -> MatrixFactorization:
     return MatrixFactorization(f.source.W, cu, cv)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """a1 -f-> a2 -phi-> cone(f) -psi-> suspension(a1)."""
 
     a1: MatrixFactorization

@@ -36,8 +36,7 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, PreconditionError, ValidationError
 
@@ -649,16 +648,14 @@ def same_ring(*elems: RingElement) -> Ring:
     return ring
 
 
-@dataclass(frozen=True)
-class CanonicalAssociate:
+class CanonicalAssociate(NamedTuple):
     """canonical = unit * input; unit is invertible, canonical is pinned."""
 
     canonical: RingElement
     unit: RingElement
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(NamedTuple):
     """g = x*a + y*b with g the canonical gcd."""
 
     g: RingElement
@@ -666,8 +663,7 @@ class BezoutCertificate:
     y: RingElement
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(NamedTuple):
     """unit * prod(p**e) is the factored element; primes canonical, strictly
     increasing."""
 

@@ -15,7 +15,11 @@ certificate is (x, y) = (1, 0) with s = a/g = 1, the block is
 [[1, 0], [-t, 1]], and only the eliminated row or column (and one row of
 V) changes, by ``q - t*p`` with the zero entries p skipped.  Every other
 block, including any certificate with s != 1, takes the general two-row
-combination.
+combination once its determinant x*s + y*t is checked to be 1: a
+certificate with x*a + y*b != g raises ``PreconditionError`` instead of
+yielding a V that is not the inverse of v_inv.  After each pass the pivot
+must divide the rest of the submatrix; a unit pivot divides everything, so
+the divisibility scan is skipped for it.
 
 Module invariants come from the same reduction: U * A = D * V with U, V
 invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
@@ -31,8 +35,8 @@ inputs are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .matrices import RingMatrix
@@ -58,8 +62,7 @@ __all__ = [
 MINOR_ORACLE_CAP = 5  # minor enumeration is exponential; cap the oracle
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * A = D * V with unit-determinant U, V; D = diag(invariant factors).
 
     ``v_inv`` is the two-sided inverse of V; the columns of ``v_inv`` with
@@ -117,11 +120,14 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     The reduction runs on rows of raw payloads with the ring's primitives
     bound to locals; each Bezout block takes its certificate from
     ``gcd_bezout``, and U, V and v_inv are built from the payload rows.
-    A block (x, y, s) = (1, 0, 1) is applied as a plain elimination.
+    A block (x, y, s) = (1, 0, 1) is applied as a plain elimination; any
+    other must have determinant x*s + y*t = 1.  A unit pivot ends the pass
+    without the divisibility scan.
     """
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
     sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
+    is_unit = ring._is_unit
     zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
     B = [list(a.payloads[i * n:(i + 1) * n]) for i in range(m)]
@@ -136,12 +142,20 @@ def smith(a: RingMatrix) -> SmithDecomposition:
         return q
 
     def bezout_block(av, bv):
-        """(x, y, s, t) with x*a + y*b = g, s = a/g and t = b/g exact."""
+        """(plain, x, y, s, t) with s = a/g and t = b/g exact and the block
+        [[x, y], [-t, s]] of determinant x*s + y*t = 1.  A plain block
+        (1, 0, 1) has it by construction; any other is checked."""
         cert = gcd_bezout(ring.element(av), ring.element(bv))
         g = cert.g.payload
         s = quotient(av, g)
         t = quotient(bv, g)
-        return cert.x.payload, cert.y.payload, s, t
+        x, y = cert.x.payload, cert.y.payload
+        plain = x == one and y == zero and s == one
+        if not plain and add(mul(x, s), mul(y, t)) != one:
+            raise PreconditionError(
+                f"Bezout certificate of {ring._format(av)} and "
+                f"{ring._format(bv)} has x*a + y*b != g in {ring.name}")
+        return plain, x, y, s, t
 
     def row_swap(i, j):
         B[i], B[j] = B[j], B[i]
@@ -158,8 +172,8 @@ def smith(a: RingMatrix) -> SmithDecomposition:
         """Left-multiply rows (i, j) by [[x, y], [-b/g, a/g]] for the pivot
         column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0.
         When a | b the block is [[1, 0], [-t, 1]]: plain elimination."""
-        x, y, s, t = bezout_block(B[i][k], B[j][k])
-        if x == one and y == zero and s == one:
+        plain, x, y, s, t = bezout_block(B[i][k], B[j][k])
+        if plain:
             for mat in (B, U):
                 mat[j] = [q if p == zero else sub(q, mul(t, p))
                           for p, q in zip(mat[i], mat[j])]
@@ -173,8 +187,8 @@ def smith(a: RingMatrix) -> SmithDecomposition:
         """Right-multiply columns (i, j) by the analogous Bezout block for
         the pivot row entries a = B[k][i], b = B[k][j]; V takes the inverse
         block from the left."""
-        x, y, s, t = bezout_block(B[k][i], B[k][j])
-        if x == one and y == zero and s == one:
+        plain, x, y, s, t = bezout_block(B[k][i], B[k][j])
+        if plain:
             for mat in (B, Vi):
                 for row in mat:
                     p = row[i]
@@ -226,6 +240,8 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             if any(B[i][k] != zero for i in range(k + 1, m)):
                 continue  # column refilled by the column pass
             d = B[k][k]
+            if is_unit(d):
+                break  # a unit divides every entry
             offender = next(
                 (i for i in range(k + 1, m)
                  if any(divmod_(e, d)[1] != zero for e in B[i][k + 1:])),
@@ -247,8 +263,7 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class DeterminantalInvariants:
+class DeterminantalInvariants(NamedTuple):
     """delta[k] = gcd of all k x k minors (delta[0] = 1), trimmed at the rank."""
 
     delta: tuple[RingElement, ...]
@@ -327,8 +342,7 @@ def _kernel_coordinates(dec: SmithDecomposition,
     return RingMatrix(vx.ring, vx.rows - dec.rank, vx.cols, vx.payloads[cut:])
 
 
-@dataclass(frozen=True)
-class ModuleInvariants:
+class ModuleInvariants(NamedTuple):
     """A finitely generated module in invariant-factor form.
 
     ``cyclic_factors`` lists canonical non-unit factors in a divisibility
@@ -422,8 +436,7 @@ class LinearSolver:
         return None if x is None else list(x.entries)
 
 
-@dataclass(frozen=True)
-class Subquotient:
+class Subquotient(NamedTuple):
     """ker(outer)/im(inner), presented by generators and relations.
 
     Costs two Smith decompositions: ``outer_smith`` and one of

@@ -1,6 +1,5 @@
 """Classification: strong invariants, cones, hom modules, primary labels."""
 
-import dataclasses
 import random
 import sys
 
@@ -189,8 +188,7 @@ def test_witness_near_misses_agree_with_block_identity(W):
             assert ref.witness_holds(sd, b) == (rho == 0)
             for name in ("even_transform", "odd_transform"):
                 for k in range(rho * rho):
-                    bad = dataclasses.replace(
-                        sd, **{name: _bump(getattr(sd, name), k)})
+                    bad = sd._replace(**{name: _bump(getattr(sd, name), k)})
                     assert bad.witness_holds(a) == ref.witness_holds(bad, a)
                     assert not bad.witness_holds(a)
 
@@ -201,15 +199,12 @@ def test_witness_misfits_are_false_not_errors():
     sd_pair, sd_one = strong_decompose(pair), strong_decompose(e(2, 12))
     assert not sd_pair.witness_holds(e(2, 12))
     assert not sd_one.witness_holds(pair)
-    big_e = dataclasses.replace(sd_pair,
-                                even_transform=RingMatrix.identity(Z, 3))
+    big_e = sd_pair._replace(even_transform=RingMatrix.identity(Z, 3))
     assert not big_e.witness_holds(pair)
-    big_o = dataclasses.replace(sd_pair,
-                                odd_transform=RingMatrix.identity(Z, 3))
+    big_o = sd_pair._replace(odd_transform=RingMatrix.identity(Z, 3))
     assert not big_o.witness_holds(pair)
     x = GF3.parse("x")
-    gf_e = dataclasses.replace(sd_one,
-                               even_transform=RingMatrix.identity(GF3, 1))
+    gf_e = sd_one._replace(even_transform=RingMatrix.identity(GF3, 1))
     assert not gf_e.witness_holds(e(2, 12))
     assert not sd_one.witness_holds(elementary(x, x ** 2))
 

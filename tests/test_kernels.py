@@ -124,21 +124,20 @@ def test_smith_refuses_an_inexact_bezout_quotient(monkeypatch):
                          ids=["Z", "GF(3)[x]"])
 def test_smith_takes_the_general_block_for_a_non_canonical_gcd(
         ring, unit, monkeypatch):
-    # (g, x, y) = (unit*a, 1, 0) passes both quotient checks when a | b but
+    # (g, x, y) = (unit*a, unit, 0) is a valid certificate when a | b but
     # has s = a/g != 1: it is no plain elimination, so the kernel must
     # apply the general block [[x, y], [-t, s]] exactly as the reference
-    # does.  That block has determinant s, a unit: U*A = B still holds, so
-    # a column (row blocks only) verifies.  The column blocks' V update
-    # inverts a block only of determinant 1, so wider inputs may not.
+    # does.  That block has determinant x*s = 1, so every shape verifies.
     calls = []
 
-    def bogus(a, b):
+    def non_canonical(a, b):
         calls.append(1)
         assert len(calls) < 10_000, "elimination does not terminate"
-        return BezoutCertificate(a * unit, ring.one, ring.zero)
+        return BezoutCertificate(a * unit, ring.one * unit, ring.zero)
 
-    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout", bogus)
-    monkeypatch.setattr(ref, "gcd_bezout", bogus)
+    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout",
+                        non_canonical)
+    monkeypatch.setattr(ref, "gcd_bezout", non_canonical)
     rng = random.Random(59)
 
     def factor(n, chained):
@@ -165,9 +164,24 @@ def test_smith_takes_the_general_block_for_a_non_canonical_gcd(
             want = ref.smith(a)
             assert (got.U, got.V, got.v_inv, got.invariant_factors) == \
                 (want.U, want.V, want.v_inv, want.invariant_factors)
-            assert cols > 1 or got.verify(a)
+            assert got.verify(a)
             done[cols] += 1
     assert calls and all(done.values()), done
+
+
+@pytest.mark.parametrize("ring, unit", [(Z, -1), (GF3, 2)],
+                         ids=["Z", "GF(3)[x]"])
+def test_smith_refuses_a_certificate_with_x_a_plus_y_b_not_g(
+        ring, unit, monkeypatch):
+    # (g, x, y) = (unit*a, 1, 0) passes both quotient checks when a | b,
+    # but x*a + y*b = a != g: its block has determinant s = 1/unit
+    def bogus(a, b):
+        return BezoutCertificate(a * unit, ring.one, ring.zero)
+
+    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout", bogus)
+    a = RingMatrix.from_rows(ring, [[2, 4], [6, 8]])
+    with pytest.raises(PreconditionError, match=r"x\*a \+ y\*b != g"):
+        smith(a)
 
 
 def test_det_refuses_an_inexact_bareiss_step(monkeypatch):
