@@ -168,7 +168,9 @@ class CyclicDecomposition(NamedTuple):
 def decompose_module(ctx: LambdaContext,
                      annihilators) -> CyclicDecomposition:
     """Collects cyclic annihilators p^k into a decomposition; exponent 0
-    entries are zero modules and are dropped."""
+    entries are zero modules and are dropped.  Division stops once the
+    exponent passes n, so a zero annihilator (which every power of p
+    divides) is refused like any p^k with k > n."""
     counts: dict[int, int] = {}
     for ann in annihilators:
         a = normalize(ann).canonical
@@ -179,8 +181,8 @@ def decompose_module(ctx: LambdaContext,
                     f"{ann.text()} is not a power of {ctx.p.text()}")
             a = exact_div(a, ctx.p)
             k += 1
-        if k > ctx.n:
-            raise PreconditionError(f"exponent {k} exceeds n = {ctx.n}")
+            if k > ctx.n:
+                raise PreconditionError(f"exponent {k} exceeds n = {ctx.n}")
         if k:
             counts[k] = counts.get(k, 0) + 1
     return CyclicDecomposition.from_counts(ctx, counts)

@@ -286,6 +286,9 @@ def parse_decomposition(obj, ring: Ring | None = None) -> CyclicDecomposition:
             i = int(key)
         except ValueError:
             raise ParseError(f"bad index key {key!r}") from None
+        # only the key decomposition_to_json writes, so that no two keys
+        # ("1" and "01") name the same index
+        _expect(key == str(i), f"bad index key {key!r}")
         _expect(_is_int(c), "multiplicities must be integers")
         counts[i] = c
     return CyclicDecomposition.from_counts(ctx, counts)

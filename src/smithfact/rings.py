@@ -23,9 +23,8 @@ keeps the schoolbook loop over ``_add`` and ``_mul``, Z sums built-in
 products, and GF(p)[x] packs every entry of both operands once, so each
 output entry is one big-integer dot product, unpacked once.  A slot then
 holds k*min(la, lb) terms of at most (p-1)**2 (k the inner dimension, la
-and lb the longest entries).  Products whose loop would make fewer than
-``_KRONECKER_MATMUL_MIN`` coefficient products (rows*k*n*la*lb), and
-slots past 8 bytes, fall back to the loop.
+and lb the longest entries).  Products with an empty or all-zero operand,
+and slots past 8 bytes, fall back to the loop.
 """
 
 from __future__ import annotations
@@ -281,21 +280,23 @@ def _kronecker_slots() -> dict[int, tuple[int, str]]:
 
 
 _KRONECKER_SLOTS = _kronecker_slots()
-_KRONECKER_MIN_TERMS = 20  # len(a)*len(b) below which the loop is faster
-# rows*k*n*la*lb (the loop's coefficient products) below which the loop is
-# faster than packing a matrix product's entries
-_KRONECKER_MATMUL_MIN = 256
+# len(a)*len(b) below which _mul keeps the loop.  Short products run faster
+# unpacked: replaying the benchmark's mf_classify products, mostly short,
+# packing every one made _mul slower; on snf_certify's the two were level.
+_KRONECKER_MIN_TERMS = 20
 _BYTE_ORDER = sys.byteorder
 _MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
 
 
 class GFPolynomialRing(Ring):
-    """Univariate polynomials over GF(p), p a small prime.
+    """Univariate polynomials over GF(p), p any prime.
 
     Payloads are tuples of coefficients in ascending degree, reduced mod p,
     with no trailing zeros; the zero polynomial is the empty tuple.
     Canonical associates are monic.  There is one instance per p:
     ``GFPolynomialRing(p)`` returns the cached ``gf_polynomial_ring(p)``.
+    Products pack coefficients into slots of at most 8 bytes; where a slot
+    would be wider, as over GF(10**18+3), they keep the schoolbook loop.
     """
 
     def __new__(cls, p: int):
@@ -378,7 +379,7 @@ class GFPolynomialRing(Ring):
         p = self.p
         slot = _KRONECKER_SLOTS.get(
             (k * min(la, lb) * (p - 1) ** 2).bit_length() + 7 >> 3)
-        if slot is None or rows * k * n * la * lb < _KRONECKER_MATMUL_MIN:
+        if slot is None:  # an empty or all-zero operand, or too wide a slot
             return super()._matmul(ap, bp, rows, k, n)
         size, code = slot
         pa = [int.from_bytes(array(code, x), _BYTE_ORDER) for x in ap]
@@ -612,6 +613,8 @@ class RingElement:
 
     def __lt__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         return self.sort_key() < o.sort_key()
 
     def sort_key(self):

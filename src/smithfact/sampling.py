@@ -64,14 +64,13 @@ def _random_unit(ring: Ring, rng: Random) -> RingElement:
     raise ValidationError(f"no unit sampler for {ring.name}")
 
 
-def random_unimodular(ring: Ring, rng: Random, n: int, *, steps: int = 12,
-                      int_bound: int = 3,
-                      max_degree: int = 1) -> tuple[RingMatrix, RingMatrix]:
+def random_unimodular(ring: Ring, rng: Random, n: int, *,
+                      steps: int = 12) -> tuple[RingMatrix, RingMatrix]:
     """(M, M_inverse), both unit determinant, as a short product of
     elementary row operations applied to the identity.
 
-    Multipliers are kept small; entry growth is already exponential in the
-    step count.
+    Multipliers are kept small (integers in [-3, 3], polynomials of degree
+    at most 1); entry growth is already exponential in the step count.
     """
     if n == 0:
         e = RingMatrix.identity(ring, 0)
@@ -86,8 +85,7 @@ def random_unimodular(ring: Ring, rng: Random, n: int, *, steps: int = 12,
             j = rng.randrange(n)
             if i == j:
                 continue
-            c = random_element(ring, rng, int_bound=int_bound,
-                               max_degree=max_degree)
+            c = random_element(ring, rng, int_bound=3, max_degree=1)
             # rows: row_j += c*row_i ; inverse columns: col_i -= c*col_j
             for k in range(n):
                 m[j][k] = m[j][k] + c * m[i][k]
@@ -110,24 +108,24 @@ def random_unimodular(ring: Ring, rng: Random, n: int, *, steps: int = 12,
     return (RingMatrix.from_rows(ring, m), RingMatrix.from_rows(ring, inv))
 
 
-def conjugate_factorization(a: MatrixFactorization, rng: Random,
-                            **kw) -> MatrixFactorization:
+def conjugate_factorization(a: MatrixFactorization,
+                            rng: Random) -> MatrixFactorization:
     """A randomly disguised copy in the same strong isomorphism class:
     v -> A v B^{-1} and u -> B u A^{-1} for unimodular A, B."""
     ring = a.ring
-    big_a, big_a_inv = random_unimodular(ring, rng, a.rho, **kw)
-    big_b, big_b_inv = random_unimodular(ring, rng, a.rho, **kw)
+    big_a, big_a_inv = random_unimodular(ring, rng, a.rho)
+    big_b, big_b_inv = random_unimodular(ring, rng, a.rho)
     return MatrixFactorization(a.W,
                                big_b @ a.u @ big_a_inv,
                                big_a @ a.v @ big_b_inv)
 
 
-def random_label_multiset(cd: CriticalData, rng: Random, *,
-                          max_copies: int = 2) -> list[tuple[RingElement, int]]:
-    """Random multiset of primary labels (p, i), 0..max_copies of each."""
+def random_label_multiset(cd: CriticalData,
+                          rng: Random) -> list[tuple[RingElement, int]]:
+    """Random multiset of primary labels (p, i), 0..2 copies of each."""
     labels = []
     for p, n in cd.critical:
         for i in range(1, n):
-            labels.extend([(p, i)] * rng.randint(0, max_copies))
+            labels.extend([(p, i)] * rng.randint(0, 2))
     rng.shuffle(labels)
     return labels

@@ -244,6 +244,20 @@ def test_decomposition_roundtrip():
     assert back.mult == dec.mult
 
 
+def test_decomposition_index_keys_are_canonical():
+    # "01" next to "1" would name V_1 twice and the later count would
+    # replace the earlier one, so only str(i) is read as index i
+    for key in ("01", "+1", " 1", "1 ", "1_0", "\u0661"):
+        doc = {"ring": "Z", "p": "2", "n": 12, "mult": {"1": 2, key: 3}}
+        with pytest.raises(ParseError, match="bad index key"):
+            parse_decomposition(doc)
+    dec = parse_decomposition({"ring": "Z", "p": "2", "n": 12,
+                               "mult": {"1": 2, "10": 3}})
+    assert dec.counts() == {1: 2, 10: 3}
+    assert decomposition_to_json(dec)["mult"] == {"1": 2, "10": 3}
+    assert parse_decomposition(decomposition_to_json(dec)) == dec
+
+
 @pytest.mark.parametrize("parse, doc", [
     (parse_matrix, {"ring": "Z", "rows": True, "entries": [[1]]}),
     (parse_matrix, {"ring": "Z", "cols": True, "entries": [[1]]}),

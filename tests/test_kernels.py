@@ -298,39 +298,42 @@ def matmul_operands(ring, rng):
             yield tuple(a), tuple(b), r, k, n
 
 
-@pytest.mark.parametrize("kronecker_everywhere", [False, True],
-                         ids=["crossover", "no-crossover"])
 @pytest.mark.parametrize("ring", [Z] + [gf_polynomial_ring(p)
                                         for p in SWEEP_PRIMES],
                          ids=lambda r: r.name)
-def test_matmul_matches_element_reference(ring, kronecker_everywhere,
-                                          monkeypatch):
-    if kronecker_everywhere:  # small products take the packed path too
-        monkeypatch.setattr(rings, "_KRONECKER_MATMUL_MIN", 0)
-    loops = []  # GF(p)[x] products that fell back to the schoolbook loop
+def test_matmul_matches_element_reference(ring, monkeypatch):
+    loops = []  # products that fell back to the schoolbook loop
     monkeypatch.setattr(Ring, "_matmul",
                         _counting(vars(Ring)["_matmul"], loops))
     rng = random.Random(61)
-    total = 0
+    slotless = 0  # GF(p)[x] products with no slot for their coefficients
     for a, b, r, k, n in matmul_operands(ring, rng):
+        before = len(loops)
         got = ring._matmul(a, b, r, k, n)
         want = ref.matmul(RingMatrix(ring, r, k, a), RingMatrix(ring, k, n, b))
         assert tuple(got) == want.payloads, (a, b)
         if ring is Z:
             assert all(type(e) is int for e in got)
-        else:
-            assert all(type(e) is tuple and (not e or e[-1] != 0)
-                       for e in got), got
-        total += 1
+            assert len(loops) == before
+            continue
+        assert all(type(e) is tuple and (not e or e[-1] != 0)
+                   for e in got), got
+        # the loop runs exactly when _KRONECKER_SLOTS (1 to 8 bytes) has no
+        # slot for a sum of k*min(la, lb) terms of at most (p-1)**2: an
+        # empty or all-zero operand, or a bound past 8 bytes
+        la = max(map(len, a), default=0)
+        lb = max(map(len, b), default=0)
+        bound = k * min(la, lb) * (ring.p - 1) ** 2
+        no_slot = bound == 0 or bound >= 2**64
+        assert no_slot == (rings._KRONECKER_SLOTS.get(
+            bound.bit_length() + 7 >> 3) is None)
+        assert len(loops) - before == no_slot, (ring.p, r, k, n, la, lb)
+        slotless += no_slot
     if ring is not Z:
-        packed = total - len(loops)
-        assert loops  # empty, all-zero and small products
-        # 10**18+3 needs slots past 8 bytes, so every product takes the
-        # loop; over 2**31-1 only products below the crossover fit 8 bytes
-        if ring.p == 10**18 + 3:
-            assert packed == 0
-        elif kronecker_everywhere or ring.p < 2**31 - 1:
-            assert packed > 0
+        # both paths run: every ring has empty and all-zero products, and
+        # only over 10**18+3 does every other product need a slot past 8 bytes
+        total = 4 * len(MATMUL_SHAPES)
+        assert slotless and (slotless == total) == (ring.p == 10**18 + 3)
 
 
 def test_payload_primitives_stay_plain_functions(monkeypatch):

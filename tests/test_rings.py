@@ -1,6 +1,7 @@
 """Ring arithmetic, canonical forms, gcd certificates, factorization."""
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -84,6 +85,15 @@ def test_from_int_wraps_modulo_p():
 def test_cross_ring_arithmetic_rejected():
     with pytest.raises(ValidationError):
         z(1) + GF3.parse("x")
+
+
+def test_operators_refuse_non_elements_with_type_error():
+    for op in (operator.add, operator.sub, operator.mul, operator.lt):
+        with pytest.raises(TypeError):
+            op(Z.one, "a")
+        with pytest.raises(TypeError):
+            op("a", GF3.one)
+    assert Z.one < 2 and not GF3.parse("x") < 2
 
 
 def test_rings_are_interned():
