@@ -16,7 +16,8 @@ from .classify import (critical_decompose, hmf_hom, primary_decompose,
                        primary_test_objects)
 from .errors import PreconditionError, ValidationError
 from .factorizations import suspension
-from .rings import RingElement, divides, exact_div, gcd, is_prime, normalize
+from .rings import (RingElement, _valuation, divides, gcd, is_prime, normalize,
+                    same_ring)
 
 __all__ = [
     "LambdaContext",
@@ -173,16 +174,13 @@ def decompose_module(ctx: LambdaContext,
     divides) is refused like any p^k with k > n."""
     counts: dict[int, int] = {}
     for ann in annihilators:
-        a = normalize(ann).canonical
-        k = 0
-        while not a.is_unit:
-            if not divides(ctx.p, a):
-                raise PreconditionError(
-                    f"{ann.text()} is not a power of {ctx.p.text()}")
-            a = exact_div(a, ctx.p)
-            k += 1
-            if k > ctx.n:
-                raise PreconditionError(f"exponent {k} exceeds n = {ctx.n}")
+        ring = same_ring(ctx.p, ann)
+        k, rest = _valuation(ring, ctx.p.payload, ann.payload, ctx.n + 1)
+        if k > ctx.n:
+            raise PreconditionError(f"exponent {k} exceeds n = {ctx.n}")
+        if not ring._is_unit(rest):
+            raise PreconditionError(
+                f"{ann.text()} is not a power of {ctx.p.text()}")
         if k:
             counts[k] = counts.get(k, 0) + 1
     return CyclicDecomposition.from_counts(ctx, counts)

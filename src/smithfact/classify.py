@@ -32,8 +32,8 @@ from .errors import PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              hom_differentials)
 from .matrices import RingMatrix
-from .rings import (RingElement, divides, exact_div, factorize, gcd, gcd_all,
-                    normalize)
+from .rings import (RingElement, _valuation, exact_div, factorize, gcd,
+                    gcd_all, normalize)
 from .smith import ModuleInvariants, Subquotient, smith, subquotient
 
 __all__ = [
@@ -186,19 +186,18 @@ def is_zero_object(a: MatrixFactorization) -> bool:
     return sd.is_zero(a.W, sd.factors)
 
 
-def _elementary_scalar(f: MfMorphism) -> RingElement:
-    """The unique r with f = r * (generator); endpoints must be elementary.
+def _elementary_scalar(f00: RingElement, v2: RingElement,
+                       d: RingElement) -> RingElement:
+    """The unique r with f = r * (generator), for a morphism
+    f: e_{v1} -> e_{v2} with f00 component f00 and d = gcd(v1, v2).
 
-    With d = gcd(v1, v2) the generator is (v2/d, v1/d).  A valid f has
-    v2 * f11 = f00 * v1, so (v2/d) * f11 = f00 * (v1/d) with v1/d and v2/d
-    coprime: v2/d divides f00, r = f00 * d / v2 is exact, and cancelling
-    v2/d gives f11 = r * v1/d.  Every morphism e_{v1} -> e_{v2} is r times
-    the generator, so f11 needs no check.
+    The generator is (v2/d, v1/d).  A valid f has v2 * f11 = f00 * v1, so
+    (v2/d) * f11 = f00 * (v1/d) with v1/d and v2/d coprime: v2/d divides
+    f00, r = f00 * d / v2 is exact, and cancelling v2/d gives
+    f11 = r * v1/d.  Every morphism e_{v1} -> e_{v2} is r times the
+    generator, so f11 needs no check.
     """
-    if not (f.source.is_elementary and f.target.is_elementary):
-        raise PreconditionError("morphism endpoints must be elementary")
-    v1, v2 = f.source.v_scalar(), f.target.v_scalar()
-    return exact_div(f.f00.entry(0, 0) * gcd(v1, v2), v2)
+    return exact_div(f00 * d, v2)
 
 
 def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
@@ -210,11 +209,13 @@ def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
     divisibility, and the suspended cone is strongly isomorphic to
     e_xi + e_zeta.
     """
+    if not (f.source.is_elementary and f.target.is_elementary):
+        raise PreconditionError("morphism endpoints must be elementary")
     v1, v2 = f.source.v_scalar(), f.target.v_scalar()
     u1, u2 = f.source.u_scalar(), f.target.u_scalar()
-    r = _elementary_scalar(f)
     d = gcd(v1, v2)
-    s = gcd_all([v1, v2, u1, u2, r])
+    r = _elementary_scalar(f.f00.entry(0, 0), v2, d)
+    s = gcd_all([d, u1, u2, r])
     xi = normalize(exact_div(s * v1, d)).canonical
     zeta = normalize(exact_div(v1 * u2, xi)).canonical
     return xi, zeta
@@ -276,16 +277,16 @@ class MfClass(NamedTuple):
         Each e_d contributes (p, i) for every critical prime p with
         1 <= i <= n_p - 1, i the multiplicity of p in d; everything else
         about d is a zero object and contributes nothing.  Every d divides
-        W, so the multiplicities are read by repeated exact division by the
-        critical primes, with no further factoring.
+        W, so no multiplicity exceeds n_p: each is read by ``_valuation``,
+        capped at n_p, on d's payload with the primes found so far divided
+        out, with no further factoring.
         """
+        ring = cd.W.ring
         labels = []
         for d in divisors:
+            rest = d.payload
             for p, n in cd.critical:
-                e = 0
-                while e < n and divides(p, d):
-                    d = exact_div(d, p)
-                    e += 1
+                e, rest = _valuation(ring, p.payload, rest, n)
                 if 1 <= e <= n - 1:
                     labels.append((p, e))
         return cls.from_labels(cd, labels)

@@ -6,11 +6,17 @@ univariate polynomials over a prime field ("GF(p)[x]").  Elements are
 immutable wrappers around a raw payload (a Python int, or a tuple of
 coefficients in ascending degree with no trailing zeros), and mixing
 payloads from different ring instances is a hard error, never a coercion.
+Both payload types are falsy exactly when they are zero (``0`` and ``()``),
+so payload code tests zero by truth value.
 
 Association classes are pinned to canonical representatives throughout:
 non-negative integers and monic polynomials.  ``normalize``, ``gcd_bezout``
 and ``factorize`` always return canonical values, which is what makes the
 classification layers deterministic.
+
+The multiplicity of a prime in an element is read by ``_valuation``, the
+one divide-out loop on payloads.  Trial division factors GF(p)[x] only
+(``_gf_trial_factor``); Z has its own factorizer.
 
 GF(p)[x] products use Kronecker substitution above a small size crossover:
 each operand is packed into one integer, a fixed-width slot per
@@ -30,12 +36,13 @@ and slots past 8 bytes, fall back to the loop.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
 import sys
 from array import array
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError, ValidationError
 
@@ -78,6 +85,9 @@ class Ring:
     def _add(self, a, b):
         raise NotImplementedError
 
+    def _sub(self, a, b):
+        raise NotImplementedError
+
     def _neg(self, a):
         raise NotImplementedError
 
@@ -110,18 +120,6 @@ class Ring:
     def _parse_payload(self, text: str):
         raise NotImplementedError
 
-    def _trial_divisors(self) -> Iterator:
-        """Candidate prime payloads in increasing canonical order."""
-        raise NotImplementedError
-
-    def _trial_exceeds(self, d, rest) -> bool:
-        """True when no prime divisor of size >= d can remain in rest.
-
-        Must compare sizes only (magnitude, degree), never the lexicographic
-        tie break, or trial division would stop too early.
-        """
-        raise NotImplementedError
-
     # -- shared machinery -----------------------------------------------------
 
     @property
@@ -141,12 +139,6 @@ class Ring:
     def parse(self, text: str) -> "RingElement":
         return RingElement(self, self._parse_payload(text))
 
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
-
-    def _is_zero(self, a) -> bool:
-        return a == self._from_int(0)
-
     def _xgcd(self, a, b):
         """Extended Euclid on payloads: returns (g, x, y) with x*a + y*b = g,
         g canonical.
@@ -157,13 +149,13 @@ class Ring:
         a combination that re-fills already-cleared entries and can cycle.
         """
         zero, one = self._from_int(0), self._from_int(1)
-        if a != zero and self._divmod(b, a)[1] == zero:
+        if a and not self._divmod(b, a)[1]:
             u = self._canonical_unit(a)
             return self._mul(u, a), u, zero
         r0, r1 = a, b
         x0, x1 = one, zero
         y0, y1 = zero, one
-        while r1 != zero:
+        while r1:
             q, r = self._divmod(r0, r1)
             r0, r1 = r1, r
             x0, x1 = x1, self._sub(x0, self._mul(q, x1))
@@ -188,8 +180,7 @@ class Ring:
         return out
 
     def _gcd(self, a, b):
-        zero = self._from_int(0)
-        while b != zero:
+        while b:
             a, b = b, self._divmod(a, b)[1]
         return self._mul(self._canonical_unit(a), a)
 
@@ -256,16 +247,6 @@ class IntegerRing(Ring):
             return int(text.strip())
         except (ValueError, TypeError) as exc:
             raise ParseError(f"not an integer literal: {text!r}") from exc
-
-    def _trial_divisors(self):
-        yield 2
-        d = 3
-        while True:
-            yield d
-            d += 2
-
-    def _trial_exceeds(self, d, rest):
-        return d * d > abs(rest)
 
 
 def _kronecker_slots() -> dict[int, tuple[int, str]]:
@@ -484,20 +465,6 @@ class GFPolynomialRing(Ring):
             out[e] = c % self.p
         return self._strip(out)
 
-    def _trial_divisors(self):
-        # monic polynomials in increasing (degree, lex) order; trial division
-        # in this order only ever succeeds on irreducibles
-        from itertools import product
-
-        deg = 1
-        while True:
-            for low in product(range(self.p), repeat=deg):
-                yield low + (1,)
-            deg += 1
-
-    def _trial_exceeds(self, d, rest):
-        return 2 * (len(d) - 1) > len(rest) - 1
-
 
 # Rings are interned, so they compare and hash by identity.  The instances
 # are made with ``object.__new__`` because the constructors return them.
@@ -609,7 +576,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def __bool__(self):
-        return not self.ring._is_zero(self.payload)
+        return bool(self.payload)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -622,7 +589,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.ring._is_zero(self.payload)
+        return not self.payload
 
     @property
     def is_unit(self) -> bool:
@@ -725,7 +692,7 @@ def divides(b: RingElement, a: RingElement) -> bool:
     ring = same_ring(a, b)
     if b.is_zero:
         return a.is_zero
-    return ring._is_zero(ring._divmod(a.payload, b.payload)[1])
+    return not ring._divmod(a.payload, b.payload)[1]
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
@@ -734,7 +701,7 @@ def exact_div(a: RingElement, b: RingElement) -> RingElement:
     if b.is_zero:
         raise PreconditionError("exact division by zero")
     q, r = ring._divmod(a.payload, b.payload)
-    if not ring._is_zero(r):
+    if r:
         raise _not_dividing(ring, b.payload, a.payload)
     return RingElement(ring, q)
 
@@ -755,13 +722,14 @@ def factorize(a: RingElement) -> PrimeFactorization:
     fixed constants c = 1, 2, ... on each composite cofactor.  Every prime
     returned is certified by deterministic Miller-Rabin on the 13 prime
     bases up to 41, which is exact below psi_13 = 3317044064679887385961981
-    (Sorenson and Webster 2015).  A cofactor at or beyond psi_13 that passes
-    Miller-Rabin, or that rho cannot split within a fixed step budget,
-    raises ``PreconditionError`` (CLI exit code 4) rather than run on.
+    (Sorenson and Webster 2015).  A cofactor at or beyond psi_13 that is a
+    strong probable prime to base 2, or that rho cannot split within a
+    fixed step budget, raises ``PreconditionError`` (CLI exit code 4)
+    rather than run on.
 
-    Over GF(p)[x]: deterministic trial division, with divisor candidates
-    enumerated in the canonical total order, so every divisor found is
-    automatically prime and the factor list comes out sorted.
+    Over GF(p)[x]: deterministic trial division by the monic polynomials in
+    canonical order (``_gf_trial_factor``), so every divisor found is prime
+    and the factor list comes out sorted.
     """
     if a.is_zero:
         raise PreconditionError("cannot factor 0")
@@ -774,36 +742,26 @@ def factorize(a: RingElement) -> PrimeFactorization:
     elif isinstance(ring, IntegerRing):
         pairs = _int_factor(rest)
     else:
-        pairs = _trial_factor(ring, rest)
+        pairs = _gf_trial_factor(ring, rest)
     return PrimeFactorization(
         unit=unit, factors=tuple((RingElement(ring, p), e) for p, e in pairs))
 
 
-def _trial_factor(ring: Ring, rest) -> list[tuple[object, int]]:
-    """Prime powers of a canonical non-unit payload by trial division.
+def _valuation(ring: Ring, p, a, cap: int | None = None) -> tuple:
+    """(e, a / p**e) for the largest e, at most cap, with p**e dividing a.
 
-    The factorizer for GF(p)[x] and the test oracle for Z.  Quotients of
-    canonical payloads by canonical divisors stay canonical, so nothing is
-    left over once ``rest`` becomes a unit.
+    p and a are payloads, p neither zero nor a unit.  Each step is one
+    ``_divmod``.  A zero a is divisible by every power of p, so it stops
+    only at the cap.
     """
-    factors = []
-    for d in ring._trial_divisors():
-        if ring._trial_exceeds(d, rest):
+    e = 0
+    while e != cap:
+        q, r = ring._divmod(a, p)
+        if r:
             break
-        e = 0
-        while True:
-            q, r = ring._divmod(rest, d)
-            if not ring._is_zero(r):
-                break
-            rest = q
-            e += 1
-        if e:
-            factors.append((d, e))
-        if ring._is_unit(rest):
-            return factors
-    # leftover cofactor is prime (no divisor up to its square root)
-    factors.append((rest, 1))
-    return factors
+        a = q
+        e += 1
+    return e, a
 
 
 # -- factoring over Z -----------------------------------------------------------
@@ -830,8 +788,11 @@ def _int_is_prime(n: int) -> bool:
     """Certified primality of an integer n >= 0.
 
     Deterministic Miller-Rabin on the bases ``_MR_BASES``, which no
-    composite below ``_MR_LIMIT`` passes.  A larger n that passes every base
-    cannot be certified either way and raises ``PreconditionError``.
+    composite below ``_MR_LIMIT`` passes.  From ``_MR_LIMIT`` on no base set
+    certifies n, so the test stops at the first base n passes, which is 2,
+    and raises ``PreconditionError``: a composite there that is a strong
+    pseudoprime to base 2 is refused rather than split.  A base that proves
+    n composite still returns False.
     """
     if n < 2:
         return False
@@ -842,18 +803,18 @@ def _int_is_prime(n: int) -> bool:
     d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_LIMIT:
-        raise PreconditionError(
-            f"cannot certify a {n.bit_length()}-bit probable prime: "
-            f"Miller-Rabin is exact only below {_MR_LIMIT}")
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n >= _MR_LIMIT:
+            raise PreconditionError(
+                f"cannot certify a {n.bit_length()}-bit strong probable "
+                f"prime to base {a}: Miller-Rabin is exact only below "
+                f"{_MR_LIMIT}")
     return True
 
 
@@ -863,9 +824,9 @@ def _int_factor(n: int) -> list[tuple[int, int]]:
     for p in _SMALL_PRIMES:
         if p * p > n:
             break
-        while n % p == 0:
-            n //= p
-            found[p] = found.get(p, 0) + 1
+        e, n = _valuation(ZZ, p, n)
+        if e:
+            found[p] = e
     # every prime factor left is at least _TRIAL_BOUND, or n is 1 or prime
     pending = [(n, 1)] if n > 1 else []
     while pending:
@@ -996,3 +957,28 @@ def _gf_irreducible(ring: GFPolynomialRing, f) -> bool:
             return False
     return h == x
 
+
+def _gf_trial_factor(ring: GFPolynomialRing,
+                     rest) -> list[tuple[tuple, int]]:
+    """Prime powers of a monic non-unit payload by trial division.
+
+    The candidates are the monic polynomials in increasing (degree, lex)
+    order, so a candidate that divides is irreducible.  The search stops
+    once twice the candidates' degree exceeds the cofactor's, and a
+    non-unit cofactor left then is prime.  Quotients of monic payloads by
+    monic divisors stay monic.
+    """
+    factors = []
+    deg = 1
+    while 2 * deg < len(rest):
+        for low in itertools.product(range(ring.p), repeat=deg):
+            d = low + (1,)
+            e, rest = _valuation(ring, d, rest)
+            if e:
+                factors.append((d, e))
+                if 2 * deg >= len(rest):
+                    break
+        deg += 1
+    if len(rest) > 1:
+        factors.append((rest, 1))
+    return factors

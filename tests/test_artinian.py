@@ -27,7 +27,6 @@ from smithfact import (
     stable_hom,
     syzygy,
 )
-import smithfact.artinian as artinian
 from conftest import GF3, Z, z
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -188,18 +187,18 @@ def test_decompose_module_rejects_foreign():
 def test_decompose_module_stops_dividing_past_n(monkeypatch):
     # every power of p divides 0, so division must stop once the exponent
     # passes n; the call cap turns a loop that never ends into a failure
-    calls = []
-    real = artinian.exact_div
-
-    def counting(a, b):
-        calls.append(1)
-        assert len(calls) < 100, "division does not stop"
-        return real(a, b)
-
-    monkeypatch.setattr(artinian, "exact_div", counting)
     x = GF3.parse("x")
     for ctx, anns in ((ctx_for(3), (Z.zero, z(2) ** 1000)),
                       (LambdaContext(x, 3), (GF3.zero, x ** 1000))):
+        calls = []
+        real = ctx.p.ring._divmod
+
+        def counting(a, b, real=real, calls=calls):
+            calls.append(1)
+            assert len(calls) < 100, "division does not stop"
+            return real(a, b)
+
+        monkeypatch.setattr(ctx.p.ring, "_divmod", counting, raising=False)
         for ann in anns:
             calls.clear()
             with pytest.raises(PreconditionError,

@@ -305,7 +305,7 @@ def test_elementary_scalar_recovers_both_components(W):
                     except ValidationError:
                         continue
                     accepted += 1
-                    r = _elementary_scalar(f)
+                    r = _elementary_scalar(f.f00.entry(0, 0), v2, d)
                     assert f.f00.entry(0, 0) * d == r * v2
                     assert f.f11.entry(0, 0) * d == r * v1
             assert accepted >= 1

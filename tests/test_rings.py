@@ -310,9 +310,20 @@ PSI13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
 
 
 def oracle(n: int) -> list[tuple[int, int]]:
-    """Prime powers of |n| by the generic trial-division loop."""
-    n = abs(n)
-    return [] if n == 1 else rings._trial_factor(Z, n)
+    """Prime powers of |n| by trial division by 2 and the odd numbers up to
+    the square root of what is left; a cofactor left over is prime."""
+    n, factors, d = abs(n), [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def fast(n: int) -> list[tuple[int, int]]:
@@ -403,6 +414,25 @@ def test_uncertifiable_cofactor_raises():
     assert fast(p**2 * q * P) == [(p, 2), (q, 1), (P, 1)]
 
 
+def test_past_certified_range_stops_at_first_passed_base(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(rings, "pow", counting, raising=False)
+    with pytest.raises(PreconditionError, match="strong probable prime to "
+                                                "base 2"):
+        rings._int_is_prime(2**89 - 1)
+    assert len(calls) == 1
+    calls.clear()  # a base that proves compositeness still answers
+    assert not rings._int_is_prime((2**89 - 1) * (2**61 - 1))
+    assert len(calls) == 1
+    calls.clear()  # below psi_13 every base runs
+    assert rings._int_is_prime(2**61 - 1) and len(calls) == 13
+
+
 def test_rho_step_budget_applies_past_certified_range(monkeypatch):
     monkeypatch.setattr(rings, "_RHO_MAX_STEPS", 64)
     p, P, Q = next_prime(10**6), 999999999989, 1000000000039
@@ -410,6 +440,44 @@ def test_rho_step_budget_applies_past_certified_range(monkeypatch):
         factorize(z(p * P * Q))  # >= psi_13, no split within 64 steps
     assert fast(p * Q) == [(p, 1), (Q, 1)]  # below psi_13: runs to the end
 
+
+
+# ---------------------------------------------------------------------------
+# prime multiplicities on payloads
+
+
+def counted_divmod(monkeypatch, ring):
+    """Record every ``_divmod`` call of one ring instance."""
+    calls = []
+    real = ring._divmod
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "_divmod", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("ring, p, unit", [(Z, 3, 5), (GF3, (1, 1), (2,))],
+                         ids=["Z", "GF(3)[x]"])
+def test_valuation(monkeypatch, ring, p, unit):
+    calls = counted_divmod(monkeypatch, ring)
+    a = ring._mul(unit, ring._mul(p, ring._mul(p, p)))  # unit * p^3
+    assert rings._valuation(ring, p, a) == (3, unit)
+    assert len(calls) == 4  # three quotients and the remainder that stops
+    calls.clear()
+    assert rings._valuation(ring, p, a, 2) == (2, ring._mul(unit, p))
+    assert len(calls) == 2  # the cap is reached: no further division
+    calls.clear()
+    assert rings._valuation(ring, p, unit) == (0, unit)  # not a divisor
+    assert len(calls) == 1
+    calls.clear()
+    zero = ring._from_int(0)
+    assert rings._valuation(ring, p, zero, 5) == (5, zero)
+    assert len(calls) == 5
+    calls.clear()
+    assert rings._valuation(ring, p, a, 0) == (0, a) and not calls
 
 
 # ---------------------------------------------------------------------------
