@@ -22,6 +22,14 @@ decomposition of either block answers for both.  ``elementary_sum`` is the
 one builder of the diagonal objects diag(W/d), diag(d), normal forms
 included.  Hom modules in the homotopy category are computed from the
 cocycle/boundary subquotient, never from assumed closed forms.
+
+Where only the strong factors are read and no witness is returned
+(``is_zero_object``, ``strong_iso``), rank <= 2 needs no Smith call: the
+factors are d1 = gcd of v's entries and d2 = det(v) / d1, the quotients of
+consecutive determinantal divisors (``_strong_factors``).  Those readers,
+``cone_split`` and ``is_iso`` compute on raw payloads with the ring's
+``_gcd``, ``_divmod``, ``_mul`` and ``_canonical_unit``, and wrap only what
+they return.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from .errors import PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              hom_differentials)
 from .matrices import RingMatrix
-from .rings import (RingElement, _valuation, exact_div, factorize, gcd,
-                    gcd_all, normalize)
+from .rings import (RingElement, _not_dividing, _valuation, exact_div,
+                    factorize, normalize, same_ring)
 from .smith import ModuleInvariants, Subquotient, smith, subquotient
 
 __all__ = [
@@ -129,9 +137,13 @@ class StrongDecomposition(NamedTuple):
 
         ``factors`` is an object's strong factors or a cone split
         (xi, zeta).  The test is symmetric in d and W/d, so it gives the
-        same answer on either block's factors.
+        same answer on either block's factors.  A factor over another ring
+        is a ``ValidationError``; a zero one, or one that does not divide
+        W, a ``PreconditionError``.
         """
-        return all(gcd(d, exact_div(W, d)).is_unit for d in factors)
+        factors = tuple(factors)
+        return _is_zero_sum(same_ring(W, *factors), W.payload,
+                            [d.payload for d in factors])
 
     def witness_holds(self, a: MatrixFactorization) -> bool:
         """Whether diag(E, O) conjugates the differential of ``a`` onto the
@@ -169,26 +181,66 @@ def strong_decompose(a: MatrixFactorization) -> StrongDecomposition:
                                even_transform=dec.U, odd_transform=dec.V)
 
 
+def _is_zero_sum(ring, w, factors) -> bool:
+    """``StrongDecomposition.is_zero`` on the payloads w of W and of the
+    factors: one ``_divmod`` and one ``_gcd`` per factor, up to the first
+    that is not a unit."""
+    gcd_, divmod_, is_unit = ring._gcd, ring._divmod, ring._is_unit
+    for d in factors:
+        if not d:
+            raise PreconditionError("exact division by zero")
+        q, rem = divmod_(w, d)
+        if rem:
+            raise _not_dividing(ring, d, w)
+        if not is_unit(gcd_(d, q)):
+            return False
+    return True
+
+
+def _strong_factors(a: MatrixFactorization) -> tuple:
+    """Payloads of the strong factors d1 | ... | d_rho of a valid object,
+    equal to ``smith(a.v).invariant_factors``.
+
+    For rho <= 2 they come without ``smith``: d_k = Delta_k / Delta_(k-1),
+    Delta_k the canonical gcd of the k x k minors of v (Kaplansky 1949), so
+    d1 is the gcd of v's entries and d2 the canonical det(v) / d1.  Both
+    quotients are exact and non-zero, since v is non-singular and d1
+    divides every entry.  Rank 0 has no factors; rank 3 and up call
+    ``smith``.
+    """
+    v, rho = a.v.payloads, a.rho
+    if rho > 2:
+        return tuple(d.payload for d in smith(a.v).invariant_factors)
+    ring = a.ring
+    d1 = ring._from_int(0)
+    for x in v:
+        d1 = ring._gcd(d1, x)
+    if rho < 2:
+        return (d1,) if rho else ()
+    mul = ring._mul
+    det = ring._sub(mul(v[0], v[3]), mul(v[1], v[2]))
+    d2 = ring._divmod(det, d1)[0]
+    return d1, mul(ring._canonical_unit(d2), d2)
+
+
 def strong_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
     """Conjugate by unit-determinant block transforms; decided by rank and
-    the invariant factors of the v blocks."""
+    the invariant factors of the v blocks (``_strong_factors``)."""
     if a.W != b.W:
         raise ValidationError("objects factor different elements")
     if a.rho != b.rho:
         return False
-    return smith(a.v).invariant_factors == smith(b.v).invariant_factors
+    return _strong_factors(a) == _strong_factors(b)
 
 
 def is_zero_object(a: MatrixFactorization) -> bool:
     """Zero objects of the homotopy category, read from the strong factors
-    (``StrongDecomposition.is_zero``)."""
-    sd = strong_decompose(a)
-    return sd.is_zero(a.W, sd.factors)
+    (``_strong_factors``, ``StrongDecomposition.is_zero``)."""
+    return _is_zero_sum(a.ring, a.W.payload, _strong_factors(a))
 
 
-def _elementary_scalar(f00: RingElement, v2: RingElement,
-                       d: RingElement) -> RingElement:
-    """The unique r with f = r * (generator), for a morphism
+def _elementary_scalar(ring, f00, v2, d):
+    """The unique r with f = r * (generator), on payloads, for a morphism
     f: e_{v1} -> e_{v2} with f00 component f00 and d = gcd(v1, v2).
 
     The generator is (v2/d, v1/d).  A valid f has v2 * f11 = f00 * v1, so
@@ -197,7 +249,27 @@ def _elementary_scalar(f00: RingElement, v2: RingElement,
     f11 = r * v1/d.  Every morphism e_{v1} -> e_{v2} is r times the
     generator, so f11 needs no check.
     """
-    return exact_div(f00 * d, v2)
+    return ring._divmod(ring._mul(f00, d), v2)[0]
+
+
+def _split_payloads(f: MfMorphism) -> tuple:
+    """Payloads (xi, zeta) of ``cone_split``.  Every division is exact on
+    a valid morphism: d divides v1 and s * v1, xi divides v1 * u2."""
+    src, dst = f.source, f.target
+    if not (src.is_elementary and dst.is_elementary):
+        raise PreconditionError("morphism endpoints must be elementary")
+    ring = src.ring
+    gcd_, divmod_, mul = ring._gcd, ring._divmod, ring._mul
+    unit = ring._canonical_unit
+    (v1,), (v2,) = src.v.payloads, dst.v.payloads
+    (u1,), (u2,) = src.u.payloads, dst.u.payloads
+    d = gcd_(v1, v2)
+    r = _elementary_scalar(ring, f.f00.payloads[0], v2, d)
+    s = gcd_(gcd_(gcd_(d, u1), u2), r)
+    xi = divmod_(mul(s, v1), d)[0]
+    xi = mul(unit(xi), xi)
+    zeta = divmod_(mul(v1, u2), xi)[0]
+    return xi, mul(unit(zeta), zeta)
 
 
 def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
@@ -209,22 +281,15 @@ def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
     divisibility, and the suspended cone is strongly isomorphic to
     e_xi + e_zeta.
     """
-    if not (f.source.is_elementary and f.target.is_elementary):
-        raise PreconditionError("morphism endpoints must be elementary")
-    v1, v2 = f.source.v_scalar(), f.target.v_scalar()
-    u1, u2 = f.source.u_scalar(), f.target.u_scalar()
-    d = gcd(v1, v2)
-    r = _elementary_scalar(f.f00.entry(0, 0), v2, d)
-    s = gcd_all([d, u1, u2, r])
-    xi = normalize(exact_div(s * v1, d)).canonical
-    zeta = normalize(exact_div(v1 * u2, xi)).canonical
-    return xi, zeta
+    ring = f.ring
+    xi, zeta = _split_payloads(f)
+    return RingElement(ring, xi), RingElement(ring, zeta)
 
 
 def is_iso(f: MfMorphism) -> bool:
     """Invertibility in the homotopy category: the cone, strongly isomorphic
     to e_xi + e_zeta after suspension, is a zero object."""
-    return StrongDecomposition.is_zero(f.source.W, cone_split(f))
+    return _is_zero_sum(f.ring, f.source.W.payload, _split_payloads(f))
 
 
 class HomModules(NamedTuple):

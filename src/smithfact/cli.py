@@ -327,17 +327,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classification over Z and GF(p)[x].")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, formats=("json", "text")):
+    def common(sp, formats=("json", "text"), ring_falls_back=False):
+        # only snf and quiver read their inputs through _fallback_ring
         sp.add_argument("--ring", default=None,
-                        help="default ring for inputs without a declaration "
-                             "(Z or GF(p)[x]; default Z)")
+                        help="ring for inputs without a declaration (Z or "
+                             "GF(p)[x]; " + ("default Z)" if ring_falls_back
+                                             else "no default: such an "
+                                                  "input exits 2)"))
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
 
     sp = sub.add_parser("snf", help="Smith normal form with certificates")
     sp.add_argument("matrix", help="matrix JSON, file path, or -")
-    common(sp)
+    common(sp, ring_falls_back=True)
     sp.set_defaults(handler=_cmd_snf)
 
     sp = sub.add_parser("classify",
@@ -368,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("n", type=int, help="power of the prime, n >= 2")
     sp.add_argument("--stable", action="store_true",
                     help="stable quiver (projective vertex removed)")
-    common(sp, formats=("dot", "json"))
+    common(sp, formats=("dot", "json"), ring_falls_back=True)
     sp.set_defaults(handler=_cmd_quiver)
 
     sp = sub.add_parser("demo", help="guided walkthrough with self-tests")

@@ -9,10 +9,14 @@ the odd solutions of the same commutation pattern are the null homotopies.
 All constructors re-validate, so no invalid object can be produced through
 the public surface.  The checks are cheap enough for the many rank-one and
 rank-two objects that classification builds: rings are interned and compared
-by identity, matrices hold raw payloads, and each check costs one matrix
-product.  Over a domain u*v = W*I already implies v*u = W*I, and the first
-commutation condition implies the second (see ``MatrixFactorization`` and
-``_commutes``), so only one product of each pair is computed.
+by identity, and each check hands the blocks' payloads to the ring's
+``_matmul`` and compares the payload list it returns with the expected one
+(W on the diagonal, or the other side of the commutation), with no
+``RingMatrix`` or ``RingElement`` built on the way.  Over a domain u*v = W*I
+already implies v*u = W*I, and the first commutation condition implies the
+second (see ``MatrixFactorization`` and ``_commutes``), so only one product
+of each pair is computed.  ``elementary_morphism`` computes its components
+on payloads too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .matrices import RingMatrix, kron
-from .rings import RingElement, exact_div, gcd, same_ring
+from .rings import RingElement, exact_div, same_ring
 from .smith import LinearSolver
 
 __all__ = [
@@ -64,7 +68,9 @@ class MatrixFactorization:
         if not (u.is_square() and v.is_square() and u.rows == v.rows):
             raise ValidationError("u and v must be square of equal size")
         rho = u.rows
-        if u @ v != RingMatrix.diagonal(ring, [W] * rho):
+        expected = [ring._from_int(0)] * (rho * rho)
+        expected[::rho + 1] = [W.payload] * rho
+        if ring._matmul(u.payloads, v.payloads, rho, rho, rho) != expected:
             raise ValidationError("u*v = v*u = W*I fails")
         self.W = W
         self.rho = rho
@@ -131,13 +137,6 @@ class MfMorphism:
                  f00: RingMatrix, f11: RingMatrix):
         if source.W != target.W:
             raise ValidationError("morphism endpoints factor different elements")
-        shape = (target.rho, source.rho)
-        for part in (f00, f11):
-            if part.ring is not source.ring:
-                raise ValidationError("components over the wrong ring")
-            if part.shape != shape:
-                raise ValidationError(
-                    f"component shape {part.shape}, expected {shape}")
         if not _commutes(source, target, f00, f11):
             raise ValidationError("components do not commute with the "
                                   "differentials")
@@ -166,9 +165,19 @@ def _commutes(source: MatrixFactorization, target: MatrixFactorization,
 
     If v2*f11 = f00*v1, then (u2*f00 - f11*u1)*v1 = u2*v2*f11 - f11*u1*v1
     = W*f11 - W*f11 = 0, and v1 is non-singular (det u1 * det v1 = W^rho1
-    != 0 in a domain), so u2*f00 = f11*u1.
+    != 0 in a domain), so u2*f00 = f11*u1.  Components over another ring
+    or of another shape than rho2 x rho1 raise ``ValidationError``, before
+    the two payload products are compared.
     """
-    return target.v @ f11 == f00 @ source.v
+    ring, r1, r2 = source.ring, source.rho, target.rho
+    for part in (f00, f11):
+        if part.ring is not ring:
+            raise ValidationError("components over the wrong ring")
+        if part.rows != r2 or part.cols != r1:
+            raise ValidationError(
+                f"component shape {part.shape}, expected {(r2, r1)}")
+    return (ring._matmul(target.v.payloads, f11.payloads, r2, r2, r1)
+            == ring._matmul(f00.payloads, source.v.payloads, r2, r1, r1))
 
 
 def is_cocycle(f: MfMorphism) -> bool:
@@ -204,11 +213,12 @@ def elementary_morphism(source: MatrixFactorization,
     """
     if not (source.is_elementary and target.is_elementary):
         raise PreconditionError("endpoints must be elementary")
-    same_ring(r, source.W)
-    v1, v2 = source.v_scalar(), target.v_scalar()
-    d = gcd(v1, v2)
-    f00 = RingMatrix(source.ring, 1, 1, [(r * exact_div(v2, d)).payload])
-    f11 = RingMatrix(source.ring, 1, 1, [(r * exact_div(v1, d)).payload])
+    ring = same_ring(r, source.W, target.W)
+    divmod_, mul = ring._divmod, ring._mul
+    (v1,), (v2,) = source.v.payloads, target.v.payloads
+    d = ring._gcd(v1, v2)  # non-zero and dividing both: exact quotients
+    f00 = RingMatrix(ring, 1, 1, (mul(r.payload, divmod_(v2, d)[0]),))
+    f11 = RingMatrix(ring, 1, 1, (mul(r.payload, divmod_(v1, d)[0]),))
     return MfMorphism(source, target, f00, f11)
 
 

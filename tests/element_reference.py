@@ -10,6 +10,13 @@ call time so a test can count its calls.
 ``witness_holds`` is the full 2rho x 2rho block identity that the rho x rho
 ``StrongDecomposition.witness_holds`` replaced, kept as its oracle.
 
+``elementary_morphism``, ``cone_blocks``, ``cone_split`` and ``is_iso`` are
+the cone path as it was computed with ``RingElement`` arithmetic before
+``smithfact.factorizations`` and ``smithfact.classify`` moved it to
+payloads: the generator scaled by r, the cone's two blocks assembled entry
+by entry, the split (xi, zeta) from gcds and exact divisions, and the zero
+test gcd(d, W/d) on the split.
+
 ``gf_mul`` is the schoolbook product that ``GFPolynomialRing._mul`` used
 for every size before it packed larger operands into one integer,
 ``gf_divmod`` the long division it used for every divisor before it scaled
@@ -22,12 +29,13 @@ each ring's ``_matmul``.
 from __future__ import annotations
 
 from smithfact.matrices import RingMatrix
-from smithfact.rings import (GFPolynomialRing, divides, exact_div,
-                             gcd_bezout, normalize)
+from smithfact.rings import (GFPolynomialRing, divides, exact_div, gcd,
+                             gcd_all, gcd_bezout, normalize)
 from smithfact.smith import SmithDecomposition
 
-__all__ = ["smith", "matmul", "det", "kron", "witness_holds", "gf_mul",
-           "gf_divmod", "gf_sub", "gf_add"]
+__all__ = ["smith", "matmul", "det", "kron", "witness_holds",
+           "elementary_morphism", "cone_blocks", "cone_split", "is_iso",
+           "gf_mul", "gf_divmod", "gf_sub", "gf_add"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -193,6 +201,48 @@ def witness_holds(sd, a) -> bool:
     if t @ a.differential() != sd.normal_form().differential() @ t:
         return False
     return E.det().is_unit and O.det().is_unit
+
+
+def elementary_morphism(source, target, r):
+    """Components (f00, f11) = (r * v2/d, r * v1/d), d = gcd(v1, v2)."""
+    v1, v2 = source.v_scalar(), target.v_scalar()
+    d = gcd(v1, v2)
+    return r * exact_div(v2, d), r * exact_div(v1, d)
+
+
+def cone_blocks(f) -> tuple[RingMatrix, RingMatrix]:
+    """u = [[-v1, 0], [f11, u2]] and v = [[-u1, 0], [f00, v2]], row by row."""
+    a1, a2 = f.source, f.target
+    ring = f.ring
+    pad = [ring.zero] * a2.rho
+
+    def assemble(top, low, right):
+        rows = [[-x for x in top.row(i)] + pad for i in range(a1.rho)]
+        rows += [list(low.row(i)) + list(right.row(i))
+                 for i in range(a2.rho)]
+        return RingMatrix(ring, a1.rho + a2.rho, a1.rho + a2.rho,
+                          [x.payload for row in rows for x in row])
+
+    return assemble(a1.v, f.f11, a2.u), assemble(a1.u, f.f00, a2.v)
+
+
+def cone_split(f):
+    """(xi, zeta) with xi = gcd(v1, v2, u1, u2, r) * v1 / gcd(v1, v2), r
+    the scalar of f00 = r * v2/gcd(v1, v2), and zeta = v1 * u2 / xi."""
+    v1, v2 = f.source.v_scalar(), f.target.v_scalar()
+    u1, u2 = f.source.u_scalar(), f.target.u_scalar()
+    d = gcd(v1, v2)
+    r = exact_div(f.f00.entry(0, 0) * d, v2)
+    s = gcd_all([d, u1, u2, r])
+    xi = normalize(exact_div(s * v1, d)).canonical
+    zeta = normalize(exact_div(v1 * u2, xi)).canonical
+    return xi, zeta
+
+
+def is_iso(f) -> bool:
+    """gcd(d, W/d) is a unit for both pieces d of the cone split."""
+    W = f.source.W
+    return all(gcd(d, exact_div(W, d)).is_unit for d in cone_split(f))
 
 
 _strip = GFPolynomialRing._strip

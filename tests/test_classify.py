@@ -41,10 +41,11 @@ from smithfact import (
     suspension,
     zero_morphism,
 )
-from smithfact.classify import _elementary_scalar, hom_subquotients
+from smithfact.classify import (_elementary_scalar, _strong_factors,
+                                hom_subquotients)
 from smithfact.cli import _iso_answers
 from smithfact.smith import _kernel_coordinates
-from conftest import GF3, Z, z
+from conftest import GF3, GF5, Z, z
 from hom_reference import (induced_hom_iso, is_iso_by_induced_homs,
                            postcompose_matrix)
 
@@ -305,7 +306,8 @@ def test_elementary_scalar_recovers_both_components(W):
                     except ValidationError:
                         continue
                     accepted += 1
-                    r = _elementary_scalar(f.f00.entry(0, 0), v2, d)
+                    r = ring.element(_elementary_scalar(
+                        ring, f.f00.payloads[0], v2.payload, d.payload))
                     assert f.f00.entry(0, 0) * d == r * v2
                     assert f.f11.entry(0, 0) * d == r * v1
             assert accepted >= 1
@@ -326,6 +328,115 @@ def test_is_iso_matches_zero_object_criterion():
                            (3, 3, 1, 9), (3, 3, 2, 9), (2, 2, 3, 4)]:
         f = elementary_morphism(e(v1, W), e(v2, W), z(r))
         assert is_iso(f) == is_zero_object(cone(f))
+
+
+# ---------------------------------------------------------------------------
+# the cone path on payloads, against smith and the element-level references
+
+CONE_PATH_WS = [z(12), z(32), z(360),
+                GF3.parse("x") ** 3 * GF3.parse("x+1") ** 2]
+
+
+def _seeded_cone_inputs(W):
+    """(e_v1, e_v2, r) over every divisor pair of W, each v taken up to a
+    seeded unit, with r = 0, r = 1 and two seeded residues mod W."""
+    ring = W.ring
+    rng = random.Random(f"cone path {W}")
+    divs = _divisor_grid(W)
+    minus_one = ring.from_int(-1)
+
+    def residue():
+        if ring is Z:
+            return z(rng.randrange(int(W.text())))
+        return random_element(ring, rng, max_degree=len(W.payload) - 2)
+
+    for v1 in divs:
+        for v2 in divs:
+            src = elementary(v1 * minus_one if rng.random() < 0.5 else v1, W)
+            dst = elementary(v2 * minus_one if rng.random() < 0.5 else v2, W)
+            for r in (ring.zero, ring.one, residue(), residue()):
+                yield src, dst, r
+
+
+@pytest.mark.parametrize("W", CONE_PATH_WS, ids=str)
+def test_closed_form_strong_factors_match_smith_on_cones(W):
+    outcomes = set()
+    prev = None
+    for src, dst, r in _seeded_cone_inputs(W):
+        c = cone(elementary_morphism(src, dst, r))
+        for a in (dst, c):  # rank 1 and rank 2
+            factors = smith(a.v).invariant_factors
+            assert _strong_factors(a) == tuple(d.payload for d in factors)
+            zero = is_zero_object(a)
+            assert zero == StrongDecomposition.is_zero(W, factors)
+            outcomes.add((a.rho, "zero", zero))
+        if prev is not None:
+            same = strong_iso(prev[0], c)
+            assert same == (prev[1] == factors)
+            outcomes.add((2, "strong iso", same))
+        prev = (c, factors)
+    assert {(rho, "zero", got) for rho in (1, 2)
+            for got in (True, False)} <= outcomes
+    assert {(2, "strong iso", True), (2, "strong iso", False)} <= outcomes
+
+
+def test_closed_form_strong_factors_on_gf5_twins():
+    W = GF5.parse("x") ** 3 * GF5.parse("x+1") ** 2 * GF5.parse("x+2")
+    divs = _divisor_grid(W)
+    rng = random.Random(2718)
+    twins = []
+    for rho in (0, 1, 2):
+        for _ in range(30):
+            base = elementary_sum(W, [rng.choice(divs) for _ in range(rho)])
+            twin = conjugate_factorization(base, rng)
+            factors = smith(twin.v).invariant_factors
+            assert _strong_factors(twin) == tuple(d.payload for d in factors)
+            assert is_zero_object(twin) == StrongDecomposition.is_zero(
+                W, factors)
+            assert strong_iso(base, twin)
+            twins.append((twin, factors))
+    outcomes = set()
+    for (a, fa), (b, fb) in zip(twins, twins[1:]):
+        got = strong_iso(a, b)
+        assert got == (a.rho == b.rho and fa == fb)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_rank_three_strong_factors_call_smith(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return smith(m)
+
+    monkeypatch.setattr(sys.modules["smithfact.classify"], "smith", counting)
+    rng = random.Random(33)
+    for W in (z(360), GF3.parse("x") ** 3 * GF3.parse("x+1") ** 2):
+        divs = _divisor_grid(W)
+        for rho in (0, 1, 2, 3):
+            a = conjugate_factorization(
+                elementary_sum(W, [rng.choice(divs) for _ in range(rho)]),
+                rng)
+            calls.clear()
+            zero, same = is_zero_object(a), strong_iso(a, a)
+            assert calls == ([(3, 3)] * 3 if rho == 3 else [])
+            factors = smith(a.v).invariant_factors
+            assert _strong_factors(a) == tuple(d.payload for d in factors)
+            assert zero == StrongDecomposition.is_zero(W, factors)
+            assert same
+
+
+@pytest.mark.parametrize("W", CONE_PATH_WS, ids=str)
+def test_cone_path_matches_element_reference(W):
+    for src, dst, r in _seeded_cone_inputs(W):
+        f = elementary_morphism(src, dst, r)
+        assert (f.f00.entry(0, 0), f.f11.entry(0, 0)) == \
+            ref.elementary_morphism(src, dst, r)
+        c = cone(f)
+        assert (c.u, c.v) == ref.cone_blocks(f)
+        assert cone_split(f) == ref.cone_split(f)
+        assert is_iso(f) == ref.is_iso(f)
 
 
 # ---------------------------------------------------------------------------

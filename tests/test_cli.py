@@ -400,3 +400,36 @@ def test_unknown_subcommand_exit_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# --ring: the help text says which subcommands fall back to Z
+
+ELEMENTARY_DOC = '{"W": "12", "elementary": "2"}'
+RINGLESS_ARGS = {
+    "snf": (["[[2,4],[6,8]]"], True),
+    "quiver": (["2", "3"], True),
+    "classify": ([ELEMENTARY_DOC], False),
+    "iso": ([ELEMENTARY_DOC, ELEMENTARY_DOC], False),
+    "cone": (['{"W": "12", "v1": "2", "v2": "6", "r": "1"}'], False),
+    "hom": ([ELEMENTARY_DOC, ELEMENTARY_DOC], False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RINGLESS_ARGS))
+def test_ring_help_matches_fallback(capsys, command):
+    args, falls_back = RINGLESS_ARGS[command]
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    ring_help = " ".join(out.split()).partition("--ring RING ")[2]
+    assert ring_help.startswith("ring for inputs without a declaration")
+    assert ("default Z" in ring_help) == falls_back
+    assert ("no default: such an input exits 2" in ring_help) != falls_back
+    code, out, err = run(capsys, command, *args)
+    if falls_back:
+        assert (code, err) == (0, "")
+        return
+    assert (code, out) == (2, "")
+    assert err == "parse error: no ring given and none implied\n"
+    code, _, err = run(capsys, command, "--ring", "Z", *args)
+    assert code == 0, err

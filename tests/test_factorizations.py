@@ -354,3 +354,104 @@ def test_morphism_check_matches_element_products(case):
         outcomes.add((len(a_divs) * len(b_divs), got))
     assert {got for _, got in outcomes} == {True, False}
     assert (0, True) in outcomes
+
+
+# ---------------------------------------------------------------------------
+# the payload checks refuse near misses and misfits
+
+ONE_ENTRY_CASES = [0, 2]  # NEAR_MISS_CASES over Z and over GF(3)[x]
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+@pytest.mark.parametrize("case", ONE_ENTRY_CASES, ids=["Z", "GF3"])
+def test_factorization_refuses_one_wrong_product_entry(case, rho):
+    W, divisors = NEAR_MISS_CASES[case]
+    ring = W.ring
+    rng = random.Random(300 + 10 * case + rho)
+    a, *_ = _conjugated(
+        elementary_sum(W, [rng.choice(divisors) for _ in range(rho)]), rng)
+    wi = RingMatrix.identity(ring, rho).scale(W)
+    for i in range(rho):
+        for j in range(rho):
+            # adding row j of u to row i gives u*v = W*I + W*E_ij: one
+            # wrong entry, on the diagonal when i == j
+            rows = [list(a.u.row(k)) for k in range(rho)]
+            rows[i] = [x + y for x, y in zip(rows[i], a.u.row(j))]
+            u = RingMatrix.from_rows(ring, rows)
+            diff = matmul(u, a.v) - wi
+            assert [k for k, d in enumerate(diff.entries) if d] == [
+                i * rho + j]
+            with pytest.raises(ValidationError):
+                MatrixFactorization(W, u, a.v)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+@pytest.mark.parametrize("case", ONE_ENTRY_CASES, ids=["Z", "GF3"])
+def test_morphism_refuses_one_wrong_component_entry(case, rho):
+    W, divisors = NEAR_MISS_CASES[case]
+    ring = W.ring
+    rng = random.Random(400 + 10 * case + rho)
+    a, *_ = _conjugated(
+        elementary_sum(W, [rng.choice(divisors) for _ in range(rho)]), rng)
+    eye = RingMatrix.identity(ring, rho)
+    assert is_cocycle(MfMorphism(a, a, eye, eye))
+    for k in range(rho * rho):
+        # v*(I + E) != v and (I + E)*v != v, as v is non-singular
+        pay = list(eye.payloads)
+        pay[k] = ring._add(pay[k], ring._from_int(1))
+        bumped = RingMatrix(ring, rho, rho, pay)
+        for f00, f11 in ((bumped, eye), (eye, bumped)):
+            assert not _oracle_commutes(a, a, f00, f11)
+            with pytest.raises(ValidationError):
+                MfMorphism(a, a, f00, f11)
+            f = identity_morphism(a)
+            f.f00, f.f11 = f00, f11
+            assert not is_cocycle(f)
+
+
+def _misfits():
+    W = z(12)
+    e2, e6 = e(2, 12), e(6, 12)
+    s = direct_sum(e2, e6)  # rho 2
+    one, gf_one = zmat([[1]]), RingMatrix.from_rows(GF3, [[1]])
+    # the transposed cases hold the payloads of the valid morphism
+    # e2 -> s with f00 = [[1], [3]], f11 = [[1], [1]]
+    f00, f11 = zmat([[1], [3]]), zmat([[1], [1]])
+    return {
+        "u over another ring": lambda: MatrixFactorization(
+            W, RingMatrix.from_rows(GF3, [[6]]), zmat([[2]])),
+        "v over another ring": lambda: MatrixFactorization(
+            W, zmat([[6]]), RingMatrix.from_rows(GF3, [[2]])),
+        "u and v of different sizes": lambda: MatrixFactorization(
+            W, zmat([[6]]), s.v),
+        "u and v not square": lambda: MatrixFactorization(
+            W, zmat([[6, 0]]), zmat([[2], [0]])),
+        "f00 over another ring": lambda: MfMorphism(e2, e2, gf_one, one),
+        "f11 over another ring": lambda: MfMorphism(e2, e2, one, gf_one),
+        "f00 transposed": lambda: MfMorphism(e2, s, f00.transpose(), f11),
+        "f11 transposed": lambda: MfMorphism(e2, s, f00, f11.transpose()),
+        "both transposed": lambda: MfMorphism(e2, s, f00.transpose(),
+                                              f11.transpose()),
+        "endpoints over different W": lambda: MfMorphism(
+            e2, e(2, 24), one, one),
+        "generator scalar over another ring": lambda: elementary_morphism(
+            e2, e6, GF3.one),
+        "generator target over another ring": lambda: elementary_morphism(
+            e2, elementary(GF3.parse("x"), GF3.parse("x^2")), z(1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_misfits()))
+def test_constructors_refuse_wrong_ring_or_shape(name):
+    with pytest.raises(ValidationError):
+        _misfits()[name]()
+
+
+def test_is_cocycle_refuses_transposed_components():
+    e2 = e(2, 12)
+    f = MfMorphism(e2, direct_sum(e2, e(6, 12)), zmat([[1], [3]]),
+                   zmat([[1], [1]]))
+    assert is_cocycle(f)
+    f.f00 = f.f00.transpose()
+    with pytest.raises(ValidationError):
+        is_cocycle(f)
