@@ -214,6 +214,9 @@ class IntegerRing(Ring):
     def _divmod(self, a, b):
         return divmod(a, b)
 
+    def _gcd(self, a, b):
+        return math.gcd(a, b)  # non-negative: the canonical associate
+
     def _matmul(self, ap, bp, rows, k, n):
         b_cols = [bp[j::n] for j in range(n)]
         return [sum(map(operator.mul, ap[i * k:(i + 1) * k], col))

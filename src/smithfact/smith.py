@@ -6,18 +6,23 @@ a divisibility chain d1 | d2 | ... | dr.  The inverse of V is tracked during
 the reduction (columns beyond the rank are a kernel basis), so linear systems
 over the ring are solvable from the same data.  The certificate stores U,
 V, v_inv and the chain only; the rank and D are derived from them, and
-``verify`` checks each stored fact once.  The reduction works on the
-matrices' raw payloads; ``RingElement`` values appear only in the Bezout
-certificates it requests and in the invariant factors it returns.
+``verify`` checks each stored fact once.  When the rank fills the rows it
+proves U invertible by a right inverse read from A * v_inv, with no
+determinant; only when rank < rows, where D has zero rows and A * v_inv
+yields no such inverse, does it compute det U by Bareiss elimination.  The
+reduction works on the matrices' raw payloads; ``RingElement`` values
+appear only in the Bezout certificates it requests and in the invariant
+factors it returns.
 
 Most Bezout blocks are plain eliminations: when the pivot a divides b the
 certificate is (x, y) = (1, 0) with s = a/g = 1, the block is
 [[1, 0], [-t, 1]], and only the eliminated row or column (and one row of
 V) changes, by ``q - t*p`` with the zero entries p skipped.  Every other
 block, including any certificate with s != 1, takes the general two-row
-combination once its determinant x*s + y*t is checked to be 1: a
-certificate with x*a + y*b != g raises ``PreconditionError`` instead of
-yielding a V that is not the inverse of v_inv.  After each pass the pivot
+combination, skipping positions where both entries are zero, once its
+determinant x*s + y*t is checked to be 1: a certificate with
+x*a + y*b != g raises ``PreconditionError`` instead of yielding a V that
+is not the inverse of v_inv.  After each pass the pivot
 must divide the rest of the submatrix; a unit pivot divides everything, so
 the divisibility scan is skipped for it.
 
@@ -90,21 +95,47 @@ class SmithDecomposition(NamedTuple):
         never an exception, when it does not fit ``a``.
 
         ``V * v_inv = I`` makes V square with det V * det v_inv = 1, so it
-        also proves det V a unit; only det U is computed.
+        also proves det V a unit.  With ``U * A = D * V`` it gives
+        U * (A * v_inv) = D.  When the rank fills the rows, U is proved
+        invertible without a determinant: if each non-unit d_j divides
+        column j of A * v_inv, the quotients are column j of a right
+        inverse of U (d_j * (U * x_j - e_j) = 0 in a domain), and a unit
+        d_j needs no check.  Only when rank < rows, where D has zero rows
+        and A * v_inv yields no right inverse, is det U computed (Bareiss).
         """
         ring, (m, n) = a.ring, a.shape
         chain = self.invariant_factors
+        r = len(chain)
         fits = ((self.U, m), (self.V, n), (self.v_inv, n))
         if (any(x.ring is not ring or x.shape != (k, k) for x, k in fits)
-                or len(chain) > min(m, n)
+                or r > min(m, n)
                 or any(d.ring is not ring or d.is_zero
                        or normalize(d).canonical != d for d in chain)
                 or not all(divides(chain[i], chain[i + 1])
-                           for i in range(len(chain) - 1))):
+                           for i in range(r - 1))):
             return False
-        return (self.U @ a == self.D @ self.V
-                and self.V @ self.v_inv == RingMatrix.identity(ring, n)
-                and self.U.is_unit_determinant())
+        mul, divmod_, is_unit = ring._mul, ring._divmod, ring._is_unit
+        zero = ring._from_int(0)
+        # D * V: the first r rows of V scaled by d_i, then zero rows
+        vp = self.V.payloads
+        dv = []
+        for i, d in enumerate(chain):
+            row = vp[i * n:(i + 1) * n]
+            dv.extend(row if is_unit(d.payload)
+                      else [mul(d.payload, p) for p in row])
+        dv.extend([zero] * ((m - r) * n))
+        if ((self.U @ a).payloads != tuple(dv)
+                or self.V @ self.v_inv != RingMatrix.identity(ring, n)):
+            return False
+        if r < m:
+            return self.U.is_unit_determinant()
+        vi = self.v_inv.payloads
+        for j, d in enumerate(chain):
+            if not is_unit(d.payload):
+                column = ring._matmul(a.payloads, vi[j::n], m, n, 1)
+                if any(divmod_(p, d.payload)[1] != zero for p in column):
+                    return False
+        return True
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -178,10 +209,13 @@ def smith(a: RingMatrix) -> SmithDecomposition:
                 mat[j] = [q if p == zero else sub(q, mul(t, p))
                           for p, q in zip(mat[i], mat[j])]
             return
+        # payloads are falsy exactly at zero; a zero pair stays zero
         for mat in (B, U):
             ri, rj = mat[i], mat[j]
-            mat[i] = [add(mul(x, p), mul(y, q)) for p, q in zip(ri, rj)]
-            mat[j] = [sub(mul(s, q), mul(t, p)) for p, q in zip(ri, rj)]
+            mat[i] = [add(mul(x, p), mul(y, q)) if p or q else zero
+                      for p, q in zip(ri, rj)]
+            mat[j] = [sub(mul(s, q), mul(t, p)) if p or q else zero
+                      for p, q in zip(ri, rj)]
 
     def col_combine(i, j):
         """Right-multiply columns (i, j) by the analogous Bezout block for
@@ -200,11 +234,14 @@ def smith(a: RingMatrix) -> SmithDecomposition:
         for mat in (B, Vi):
             for row in mat:
                 p, q = row[i], row[j]
-                row[i] = add(mul(x, p), mul(y, q))
-                row[j] = sub(mul(s, q), mul(t, p))
+                if p or q:
+                    row[i] = add(mul(x, p), mul(y, q))
+                    row[j] = sub(mul(s, q), mul(t, p))
         ri, rj = V[i], V[j]
-        V[i] = [add(mul(s, p), mul(t, q)) for p, q in zip(ri, rj)]
-        V[j] = [sub(mul(x, q), mul(y, p)) for p, q in zip(ri, rj)]
+        V[i] = [add(mul(s, p), mul(t, q)) if p or q else zero
+                for p, q in zip(ri, rj)]
+        V[j] = [sub(mul(x, q), mul(y, p)) if p or q else zero
+                for p, q in zip(ri, rj)]
 
     def row_add_into_pivot(i):
         # row_k += row_i ; same left transform applied to U

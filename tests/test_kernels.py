@@ -10,8 +10,9 @@ import types
 import pytest
 
 import element_reference as ref
-from smithfact import (PreconditionError, RingElement, RingMatrix, kron,
-                       random_matrix, smith)
+from smithfact import (PreconditionError, RingElement, RingMatrix,
+                       elementary_sum, hom_differentials, kron, random_matrix,
+                       smith)
 from smithfact import rings
 from smithfact.rings import (BezoutCertificate, GFPolynomialRing,
                              IntegerRing, Ring, gf_polynomial_ring)
@@ -45,6 +46,24 @@ def bench_inputs(ring, seed, per_shape=3):
             yield random_matrix(ring, rng, r, c, **kw)
 
 
+# hmf_hom's ranks: its differentials are 2*r1*r2 square and mostly zero
+HOM_RANKS = ((1, 2), (2, 2), (2, 3), (3, 3), (4, 4))
+
+
+def hom_inputs(ring, seed):
+    """Even and odd hom differentials of elementary sums over W = p^3 q^2,
+    (p, q) = (2, 3) over Z and (x, x + 1) over GF(p)[x]."""
+    rng = random.Random(seed)
+    p, q = ((ring.from_int(2), ring.from_int(3)) if ring is Z
+            else (ring.parse("x"), ring.parse("x + 1")))
+    W = p ** 3 * q ** 2
+    divisors = [p ** i * q ** j for i in range(4) for j in range(3)]
+    for r1, r2 in HOM_RANKS:
+        a, b = (elementary_sum(W, [rng.choice(divisors) for _ in range(r)])
+                for r in (r1, r2))
+        yield from hom_differentials(a, b)
+
+
 def counted(monkeypatch, module, calls):
     real = module.gcd_bezout
 
@@ -61,7 +80,8 @@ def test_smith_matches_element_reference(ring, monkeypatch):
     kernel_calls, ref_calls = [], []
     counted(monkeypatch, sys.modules["smithfact.smith"], kernel_calls)
     counted(monkeypatch, ref, ref_calls)
-    for a in itertools.chain(sweep_inputs(ring, 41), bench_inputs(ring, 44)):
+    for a in itertools.chain(sweep_inputs(ring, 41), bench_inputs(ring, 44),
+                             hom_inputs(ring, 45)):
         got, want = smith(a), ref.smith(a)
         assert (got.U, got.V, got.D, got.v_inv) == \
             (want.U, want.V, want.D, want.v_inv)

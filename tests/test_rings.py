@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +185,21 @@ def test_gcd_canonical_and_zero_rules():
     assert gcd(Z.zero, z(-5)) == z(5)
     assert gcd(Z.zero, Z.zero) == Z.zero
     assert gcd(GF3.parse("2*x"), GF3.parse("2")) == GF3.one
+
+
+def test_integer_gcd_matches_the_euclid_loop():
+    # IntegerRing._gcd is math.gcd; Ring._gcd's loop is the reference
+    assert vars(IntegerRing)["_gcd"] is not vars(rings.Ring)["_gcd"]
+    rng = random.Random(61)
+    small = (0, 1, -1, 2, -2, 12, -18)
+    pairs = [(a, b) for a in small for b in small]
+    for _ in range(300):
+        k = rng.randint(1, 10**6)  # a shared factor, so not every gcd is 1
+        pairs.append((k * rng.randint(-10**30, 10**30),
+                      k * rng.choice((0, rng.randint(-10**12, 10**12)))))
+    for a, b in pairs:
+        assert Z._gcd(a, b) == rings.Ring._gcd(Z, a, b), (a, b)
+        assert Z._gcd(a, b) >= 0
 
 
 def test_gcd_divisible_case_gives_trivial_certificate():

@@ -13,6 +13,7 @@ from smithfact import (
     SmithDecomposition,
     ValidationError,
     conjugate_factorization,
+    divides,
     determinantal_invariants,
     elementary_sum,
     equivalent,
@@ -21,6 +22,7 @@ from smithfact import (
     image_cokernel_invariants,
     invariant_factors_via_delta,
     kernel_basis,
+    normalize,
     random_matrix,
     smith,
     subquotient,
@@ -138,6 +140,98 @@ def test_verify_is_false_on_a_certificate_of_the_wrong_shape():
     assert not dec._replace(invariant_factors=(z(1), z(1), z(6))).verify(a)
     # a certificate over another ring
     assert not smith(M([[2, 0], [0, 3]], GF3)).verify(a)
+
+
+# verify proves U invertible from a right inverse when rank == rows and
+# from det U when rank < rows; (rows, cols, rank) below cover rows - rank
+# = 0, 1 and 2 or more
+VERIFY_SHAPES = [(3, 3, 3), (2, 4, 2), (3, 5, 3), (1, 1, 1),
+                 (4, 3, 3), (3, 3, 2), (4, 4, 3), (2, 2, 1),
+                 (5, 3, 3), (4, 4, 2), (5, 4, 2), (3, 3, 0)]
+NON_UNITS = {Z: ("2", "3", "6"), GF3: ("x", "x + 1", "x^2 + 1")}
+
+
+def _of_rank(ring, rng, rows, cols, rank):
+    """rows x cols, a product through rank columns: rank at most ``rank``."""
+    bounds = {"int_bound": 9} if ring is Z else {"max_degree": 2}
+    return (random_matrix(ring, rng, rows, rank, **bounds)
+            @ random_matrix(ring, rng, rank, cols, **bounds))
+
+
+def _scale_row(m, k, c):
+    """m with row k multiplied by c."""
+    return RingMatrix.from_rows(m.ring, [[c * e for e in m.row(i)] if i == k
+                                         else m.row(i) for i in range(m.rows)])
+
+
+def _equations_hold(dec, a):
+    """Everything verify checks except that U is invertible."""
+    chain = dec.invariant_factors
+    return (dec.U @ a == dec.D @ dec.V
+            and dec.V @ dec.v_inv == RingMatrix.identity(a.ring, a.cols)
+            and all(normalize(d).canonical == d and not d.is_zero
+                    for d in chain)
+            and all(divides(chain[i], chain[i + 1])
+                    for i in range(len(chain) - 1)))
+
+
+def _singular_twins(dec, c):
+    """Certificates that keep every equation but whose U has det U * c:
+    row k of U and d_k times c (where the chain survives), or a row of U
+    past the rank times c."""
+    chain, r = dec.invariant_factors, dec.rank
+    for k in range(r):
+        scaled = chain[:k] + (c * chain[k],) + chain[k + 1:]
+        if k == r - 1 or divides(scaled[k], scaled[k + 1]):
+            yield dec._replace(U=_scale_row(dec.U, k, c),
+                               invariant_factors=scaled)
+    for k in range(r, dec.U.rows):
+        yield dec._replace(U=_scale_row(dec.U, k, c))
+
+
+@pytest.mark.parametrize("ring", [Z, GF3], ids=lambda r: r.name)
+def test_verify_refuses_a_singular_U_that_keeps_the_equations(ring):
+    rng = random.Random(67)
+    refused, deficits = {"full": 0, "deficient": 0}, set()
+    for rows, cols, rank in VERIFY_SHAPES:
+        for _ in range(12):
+            a = _of_rank(ring, rng, rows, cols, rank)
+            dec = smith(a)
+            deficits.add(min(rows - dec.rank, 2))
+            # on a valid certificate the new check agrees with det U
+            assert dec.verify(a) is True
+            assert dec.U.is_unit_determinant()
+            c = ring.parse(rng.choice(NON_UNITS[ring]))
+            for bad in _singular_twins(dec, c):
+                assert _equations_hold(bad, a)
+                assert not bad.U.is_unit_determinant()
+                assert bad.verify(a) is False
+                refused["full" if dec.rank == rows else "deficient"] += 1
+    assert deficits == {0, 1, 2}
+    assert min(refused.values()) >= 40, refused
+
+
+@pytest.mark.parametrize("ring", [Z, GF3], ids=lambda r: r.name)
+def test_verify_computes_det_U_only_when_rank_is_below_rows(ring,
+                                                            monkeypatch):
+    rng = random.Random(71)
+    calls = []
+    real = RingMatrix.det
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(RingMatrix, "det", counting)
+    paths = set()
+    for rows, cols, rank in VERIFY_SHAPES:
+        a = _of_rank(ring, rng, rows, cols, rank)
+        dec = smith(a)
+        calls.clear()
+        assert dec.verify(a) is True
+        paths.add(dec.rank == rows)
+        assert calls == ([] if dec.rank == rows else [(rows, rows)])
+    assert paths == {True, False}
 
 
 def test_smith_diagonal_with_zero():
