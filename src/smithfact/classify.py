@@ -21,7 +21,9 @@ factors are the W/d_i; the suspension (W, -v, -u) swaps the blocks, so one
 decomposition of either block answers for both.  ``elementary_sum`` is the
 one builder of the diagonal objects diag(W/d), diag(d), normal forms
 included.  Hom modules in the homotopy category are computed from the
-cocycle/boundary subquotient, never from assumed closed forms.
+even degree's cocycle/boundary subquotient, never from assumed closed
+forms; the odd module's invariants are read off the same Smith forms
+(``hmf_hom``).
 
 Where only the strong factors are read and no witness is returned
 (``is_zero_object``, ``strong_iso``), rank <= 2 needs no Smith call: the
@@ -67,13 +69,11 @@ __all__ = [
 
 
 class CriticalData(NamedTuple):
-    """W = unit * W0 * prod(p^n) with W0 square-free and coprime to the
-    critical primes; critical lists the (p, n) with n >= 2, p canonical."""
+    """The critical primes of W: the (p, n) with p^n exactly dividing W,
+    n >= 2 and p canonical."""
 
     W: RingElement
-    W0: RingElement
     critical: tuple[tuple[RingElement, int], ...]
-    unit: RingElement
 
     def order_of(self, p: RingElement) -> int | None:
         p = normalize(p).canonical
@@ -82,26 +82,14 @@ class CriticalData(NamedTuple):
                 return n
         return None
 
-    @property
-    def is_critical(self) -> bool:
-        return bool(self.critical)
-
 
 def critical_decompose(W: RingElement) -> CriticalData:
     if W.is_zero:
         raise PreconditionError("W must be non-zero")
     if W.is_unit:
         raise PreconditionError("W must not be a unit")
-    fac = factorize(W)
-    ring = W.ring
-    w0 = ring.one
-    critical = []
-    for p, e in fac.factors:
-        if e == 1:
-            w0 = w0 * p
-        else:
-            critical.append((p, e))
-    return CriticalData(W=W, W0=w0, critical=tuple(critical), unit=fac.unit)
+    return CriticalData(W=W, critical=tuple(
+        (p, e) for p, e in factorize(W).factors if e >= 2))
 
 
 def critical_ideal_generator(cd: CriticalData) -> RingElement:
@@ -307,9 +295,27 @@ def hom_subquotients(a: MatrixFactorization,
 
 def hmf_hom(a: MatrixFactorization, b: MatrixFactorization) -> HomModules:
     """Invariant factors of the hom modules Hom(a, b) in even and odd
-    degree, computed from the cocycle/boundary subquotient."""
-    even, odd = hom_subquotients(a, b)
-    return HomModules(even.invariants, odd.invariants)
+    degree, from one subquotient: two Smith decompositions.
+
+    The even module is ker(d_even) / im(d_odd), and the odd module
+    ker(d_odd) / im(d_even) is read off the even one's ``outer_smith``.
+    Both differentials are N x N, and ``hom_differentials`` makes both
+    their products zero.  Let U * d_odd = D * V be the Smith form of
+    d_odd, of rank r_o.  Then D * V * d_even = U * d_odd * d_even = 0, so
+    the first r_o rows of V * d_even vanish: V * d_even = [0; X], where X
+    holds the coordinates of im(d_even) in the kernel basis of d_odd, and
+    the odd module is coker X.  V is unimodular, so X has d_even's
+    invariant factors and rank r_e, and coker X is the sum of the R/(d_i)
+    over them plus a free part of rank (N - r_o) - r_e.  That is the even
+    module's free rank, ker(d_even) having rank N - r_e and im(d_odd)
+    rank r_o.
+    ``hom_subquotients`` builds both presentations.
+    """
+    d_even, d_odd = hom_differentials(a, b)
+    even = subquotient(d_even, d_odd)
+    free = (a.ring.zero,) * even.invariants.free_rank
+    return HomModules(even.invariants, ModuleInvariants.build(
+        a.ring, even.outer_smith.invariant_factors + free))
 
 
 class MfClass(NamedTuple):

@@ -17,12 +17,13 @@ from pathlib import Path
 from random import Random
 
 from . import artinian, jsonio
-from .classify import (CriticalData, MfClass, cone_split, critical_decompose,
+from .classify import (CriticalData, MfClass, StrongDecomposition,
+                       cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
                        is_iso, primary_decompose, strong_decompose)
 from .errors import ParseError, PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, cone, elementary,
-                             elementary_morphism, suspension)
+                             elementary_morphism)
 from .matrices import RingMatrix
 from .rings import Ring, ring_from_text
 from .sampling import conjugate_factorization, random_label_multiset, \
@@ -136,11 +137,10 @@ def _cmd_iso(args) -> str:
 def _cmd_cone(args) -> str:
     f = jsonio.parse_morphism(_load_json(args.morphism), _default_ring(args))
     c = cone(f)
-    # the suspension's v block is -u: one decomposition gives the u-block
-    # factors and, as suspension keeps zero objects zero, the zero test
-    sd = strong_decompose(suspension(c))
-    factors = sd.factors
-    iso = sd.is_zero(c.W, factors)
+    # the u block's factors are the W/d of the v block's, and the zero test
+    # is symmetric in d and W/d: one decomposition of u gives both
+    factors = smith(c.u).invariant_factors
+    iso = StrongDecomposition.is_zero(c.W, factors)
     split = None
     if f.source.is_elementary and f.target.is_elementary:
         split = cone_split(f)

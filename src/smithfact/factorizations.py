@@ -277,9 +277,6 @@ def null_homotopy_witness(
     """Odd pair (s01, s10) trivializing f, or None when f is essential."""
     r1, r2 = f.source.rho, f.target.rho
     n = r1 * r2
-    if n == 0:
-        z = RingMatrix.zeros(f.ring, r2, r1)
-        return (z, z)
     _, system = hom_differentials(f.source, f.target)
     rhs = RingMatrix(f.ring, 2 * n, 1, f.f00.payloads + f.f11.payloads)
     x = LinearSolver(system).solve_matrix(rhs)

@@ -34,6 +34,7 @@ from smithfact import (
     primary_decompose,
     primary_test_objects,
     random_element,
+    random_unimodular,
     smith,
     strong_decompose,
     strong_iso,
@@ -60,24 +61,18 @@ def e(v, W):
 
 def test_critical_decompose_360():
     cd = critical_decompose(z(360))
-    assert cd.W0 == z(5)
-    assert cd.unit == z(1)
     assert [(str(p), n) for p, n in cd.critical] == [("2", 3), ("3", 2)]
     assert cd.order_of(z(2)) == 3
     assert cd.order_of(z(5)) is None
-    assert cd.is_critical
 
 
 def test_critical_decompose_squarefree():
     cd = critical_decompose(z(30))
-    assert cd.W0 == z(30)
     assert cd.critical == ()
-    assert not cd.is_critical
 
 
 def test_critical_decompose_prime_square():
     cd = critical_decompose(z(49))
-    assert cd.W0 == z(1)
     assert [(str(p), n) for p, n in cd.critical] == [("7", 2)]
 
 
@@ -86,7 +81,6 @@ def test_critical_decompose_gf():
     xp1 = GF3.parse("x + 1")
     W = x * x * xp1 * xp1 * xp1
     cd = critical_decompose(W)
-    assert cd.W0 == GF3.one
     assert [(str(p), n) for p, n in cd.critical] == [("x", 2), ("x+1", 3)]
 
 
@@ -477,6 +471,81 @@ def test_hmf_hom_closed_form_small():
 def test_hom_orthogonality_distinct_primes():
     h = hmf_hom(e(2, 36), e(3, 36))
     assert h.even.is_zero and h.odd.is_zero
+
+
+HOM_SWEEP_WS = [z(360), z(72), z(2700),
+                GF3.parse("x") ** 3 * GF3.parse("x+1") ** 2]
+
+
+def _seeded_hom_pairs(W, count):
+    """Seeded pairs of conjugated sums of elementary objects over W, each
+    of rank 0 to 3 on divisors of W drawn with repetition."""
+    rng = random.Random(f"hom sweep {W}")
+    divs = _divisor_grid(W)
+
+    def obj():
+        ds = [rng.choice(divs) for _ in range(rng.randint(0, 3))]
+        return conjugate_factorization(elementary_sum(W, ds), rng)
+
+    for _ in range(count):
+        yield obj(), obj()
+
+
+@pytest.mark.parametrize("W", HOM_SWEEP_WS, ids=str)
+def test_hmf_hom_matches_both_subquotients(W):
+    # the odd module read off the even subquotient's Smith forms against
+    # its own presentation, over zero and non-zero odd modules.  Both
+    # degrees agree here, as Hom(e_v1, e_v2) = R/(gcd(v1, v2, W/v1, W/v2))
+    # in each, so d_odd's chain would pass too: the next test tells the
+    # degrees apart
+    odd_zero = odd_nonzero = 0
+    for a, b in _seeded_hom_pairs(W, 32):
+        h = hmf_hom(a, b)
+        assert h == tuple(s.invariants for s in hom_subquotients(a, b))
+        assert h.even == h.odd
+        odd_zero += h.odd.is_zero
+        odd_nonzero += not h.odd.is_zero
+    assert odd_zero and odd_nonzero
+
+
+def _chain_pairs(ring, rng, count):
+    """Seeded square pairs (d_even, d_odd) with both products zero but,
+    unlike hom differentials, different homology in the two degrees:
+    P * diag(x) * Q and Q^-1 * diag(y) * P^-1, each coordinate non-zero in
+    at most one of x and y, and zero in both for a free summand."""
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        x, y = [ring.zero] * n, [ring.zero] * n
+        for i in range(n):
+            side = rng.choice((x, y, None))
+            if side is not None:
+                side[i] = random_element(ring, rng, int_bound=12,
+                                         max_degree=2)
+        p, p_inv = random_unimodular(ring, rng, n)
+        q, q_inv = random_unimodular(ring, rng, n)
+        yield (p @ RingMatrix.diagonal(ring, x) @ q,
+               q_inv @ RingMatrix.diagonal(ring, y) @ p_inv)
+
+
+@pytest.mark.parametrize("W", [z(12), GF3.parse("x^2")], ids=str)
+def test_hmf_hom_odd_module_on_chain_pairs(W, monkeypatch):
+    # the identity behind hmf_hom needs only d_odd * d_even = 0 and
+    # d_even * d_odd = 0, so it must hold on pairs whose two degrees differ
+    # and that carry free summands, fed in through hom_differentials
+    ring = W.ring
+    rng = random.Random(f"chain pairs {W}")
+    pairs = list(_chain_pairs(ring, rng, 40))
+    module = sys.modules["smithfact.classify"]
+    a = elementary(W, W)
+    free = differ = 0
+    for pair in pairs:
+        monkeypatch.setattr(module, "hom_differentials",
+                            lambda *_, pair=pair: pair)
+        h = hmf_hom(a, a)
+        assert h == tuple(s.invariants for s in hom_subquotients(a, a))
+        free += h.odd.free_rank > 0
+        differ += h.even != h.odd
+    assert free and differ
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,32 @@ def test_snf_text_format(capsys):
     assert "2" in out and "4" in out
 
 
+SNF_TEXT_CASES = [
+    ("[[2,4],[6,8]]",
+     "ring: Z\nrank: 2\ninvariant factors: 2, 4\n"
+     "D:\n  [2  0]\n  [0  4]\n"
+     "U:\n  [1   0]\n  [3  -1]\n"
+     "V:\n  [1  2]\n  [0  1]\n"),
+    (json.dumps({"ring": "GF(3)[x]",
+                 "entries": [["x", "x^2+1"], ["x+1", "2"]]}),
+     "ring: GF(3)[x]\nrank: 2\ninvariant factors: 1, x^3+x^2+2*x+1\n"
+     "D:\n  [1              0]\n  [0  x^3+x^2+2*x+1]\n"
+     "U:\n  [0      2]\n  [1  x^2+1]\n"
+     "V:\n  [2*x+2  1]\n  [    1  0]\n"),
+    (json.dumps({"ring": "Z", "rows": 0, "cols": 2, "entries": []}),
+     "ring: Z\nrank: 0\ninvariant factors: (none)\n"
+     "D:\n  (0 x 2 empty)\n"
+     "U:\n  (0 x 0 empty)\n"
+     "V:\n  [1  0]\n  [0  1]\n"),
+]
+
+
+@pytest.mark.parametrize("matrix, want", SNF_TEXT_CASES,
+                         ids=["Z", "GF3", "0x2"])
+def test_snf_text_output_is_pinned(capsys, matrix, want):
+    assert run(capsys, "snf", "--format", "text", matrix) == (0, want, "")
+
+
 def test_snf_malformed_json_exit_2(capsys):
     code, out, err = run(capsys, "snf", "--ring", "Z", "[[2,4")
     assert code == 2

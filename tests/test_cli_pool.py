@@ -22,10 +22,11 @@ POOL = json.loads((ROOT / "bench" / "cli_pool.json")
 
 # Smith decompositions per successful call, by pool kind: classify reads the
 # strong factors and the class from one; iso needs one per object; hom runs
-# two subquotients of two each; cone reads the u-block factors and the zero
-# test from one decomposition of the suspended cone; demo makes 34.
+# one subquotient of two and reads the odd module off its Smith forms; cone
+# reads the u-block factors and the zero test from one decomposition of the
+# cone's u block; demo makes 30, two of them in each of its two hom calls.
 SMITH_CALLS = {"classify": 1, "classify_big": 1, "iso": 2, "iso_big": 2,
-               "hom": 4, "cone": 1, "demo": 34}
+               "hom": 2, "cone": 1, "demo": 30}
 # Factorizations per successful call: classify and iso factor W once; demo
 # once per W section (12, 360 and the self-test's 360); cone, hom and
 # quiver never (over GF(p)[x] the primality test of p is Rabin's test).

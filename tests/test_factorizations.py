@@ -190,6 +190,21 @@ def test_zero_morphism_null_homotopic():
     assert s01.is_zero and s10.is_zero
 
 
+@pytest.mark.parametrize("ranks", [(0, 2), (2, 0), (0, 0)],
+                         ids=["source", "target", "both"])
+@pytest.mark.parametrize("W", [z(12), GF3.parse("x^2 + x")], ids=str)
+def test_null_homotopy_with_rank_zero_endpoints(W, ranks):
+    # the general solve runs on the empty hom differential and returns the
+    # empty r2 x r1 witness blocks
+    ring = W.ring
+    zero_obj = elementary_sum(W, [])
+    two = elementary_sum(W, [ring.one, W])
+    a, b = (two if r else zero_obj for r in ranks)
+    empty = RingMatrix.zeros(ring, b.rho, a.rho)
+    assert null_homotopy_witness(zero_morphism(a, b)) == (empty, empty)
+    assert is_null_homotopic(identity_morphism(zero_obj))
+
+
 def test_identity_is_essential_on_nonzero_object():
     a = elementary(z(2), z(4))
     assert not is_null_homotopic(identity_morphism(a))

@@ -336,6 +336,19 @@ def test_linear_solver_no_solution():
     assert LinearSolver(a).solve_matrix(b) is None
 
 
+def test_linear_solver_refuses_a_non_zero_row_past_the_rank():
+    # U * b has a non-zero row where D is zero: no division is tried
+    a = M([[2], [0]])
+    solver = LinearSolver(a)
+    assert solver.solve_matrix(M([[2], [1]])) is None
+    assert solver.solve_matrix(M([[2], [0]])) == M([[1]])
+
+
+def test_linear_solver_refuses_the_wrong_height():
+    with pytest.raises(ValidationError, match="wrong height"):
+        LinearSolver(M([[2], [0]])).solve_matrix(M([[2]]))
+
+
 def test_linear_solver_vector():
     a = M([[1, 2], [3, 4]])
     sol = LinearSolver(a).solve_vector([z(5), z(11)])
@@ -354,6 +367,19 @@ def test_image_cokernel():
     assert m.is_zero
     m = image_cokernel_invariants(RingMatrix.zeros(Z, 2, 2))
     assert m.free_rank == 2 and m.torsion_factors == ()
+
+
+@pytest.mark.parametrize("ring, factors, want", [
+    (Z, [], "0"),
+    (Z, [1, 6], "R/<6>"),
+    (Z, [0], "R"),
+    (Z, [0, 0], "R^2"),
+    (Z, [2, 6, 0, 0], "R/<2> + R/<6> + R^2"),
+    (GF3, ["x", "0"], "R/<x> + R"),
+], ids=["zero", "cyclic", "R", "R^2", "mixed", "GF3"])
+def test_module_invariants_text(ring, factors, want):
+    factors = [ring.parse(str(f)) for f in factors]
+    assert str(ModuleInvariants.build(ring, factors)) == want
 
 
 def test_subquotient_smoke():
@@ -429,23 +455,30 @@ def test_subquotient_matches_three_smith_oracle(W, divisors, seed):
             assert sq.invariants == inv
 
 
-def test_hmf_hom_runs_four_smith_decompositions(monkeypatch):
+def test_hmf_hom_runs_two_smith_decompositions(monkeypatch):
     # the package attribute smithfact.smith is the function; the module
     # that subquotient looks smith up in is only reachable via sys.modules
     module = sys.modules["smithfact.smith"]
-    calls = []
-    real = module.smith
+    classify = sys.modules["smithfact.classify"]
+    calls, subquotients = [], []
+    real, real_sq = module.smith, classify.subquotient
 
     def counting(a):
         calls.append(a.shape)
         return real(a)
 
+    def counting_sq(outer, inner):
+        subquotients.append(outer.shape)
+        return real_sq(outer, inner)
+
     monkeypatch.setattr(module, "smith", counting)
+    monkeypatch.setattr(classify, "smith", counting)
+    monkeypatch.setattr(classify, "subquotient", counting_sq)
     W = z(360)
     a, b = (elementary_sum(W, [z(d) for d in ds])
             for ds in ((2, 12), (6, 60, 4)))
     hmf_hom(a, b)
-    assert len(calls) == 4
+    assert len(calls) == 2 and len(subquotients) == 1
 
 
 # ---------------------------------------------------------------------------
