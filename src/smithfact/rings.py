@@ -16,7 +16,8 @@ classification layers deterministic.
 
 The multiplicity of a prime in an element is read by ``_valuation``, the
 one divide-out loop on payloads.  Trial division factors GF(p)[x] only
-(``_gf_trial_factor``); Z has its own factorizer.
+(``_gf_trial_factor``), and refuses a degree with more than
+``_GF_TRIAL_CANDIDATES`` candidates; Z has its own factorizer.
 
 GF(p)[x] products use Kronecker substitution above a small size crossover:
 each operand is packed into one integer, a fixed-width slot per
@@ -141,17 +142,8 @@ class Ring:
 
     def _xgcd(self, a, b):
         """Extended Euclid on payloads: returns (g, x, y) with x*a + y*b = g,
-        g canonical.
-
-        When a divides b the certificate is the trivial one (u, 0): callers
-        build elimination blocks from (x, y), and a mixing coefficient y != 0
-        in the divisible case would turn a plain row/column elimination into
-        a combination that re-fills already-cleared entries and can cycle.
-        """
+        g canonical."""
         zero, one = self._from_int(0), self._from_int(1)
-        if a and not self._divmod(b, a)[1]:
-            u = self._canonical_unit(a)
-            return self._mul(u, a), u, zero
         r0, r1 = a, b
         x0, x1 = one, zero
         y0, y1 = zero, one
@@ -391,16 +383,20 @@ class GFPolynomialRing(Ring):
                 return a, ()
             c = pow(c, -1, p)
             return tuple([x * c % p for x in a]), ()
+        # Each step reads rem[shift + top] and updates only the top lower
+        # coefficients below it; the quotient's leading coefficient is
+        # lead(a)/lead(b), not zero, so only the remainder is stripped.
+        top = len(b) - 1
+        inv_lead = 1 if b[top] == 1 else pow(b[top], -1, p)
         rem = list(a)
-        quo = [0] * (len(a) - len(b) + 1)
-        inv_lead = pow(b[-1], -1, p)
+        quo = [0] * (len(a) - top)
         for shift in range(len(a) - len(b), -1, -1):
-            c = (rem[shift + len(b) - 1] * inv_lead) % p
+            c = rem[shift + top] * inv_lead % p
             if c:
                 quo[shift] = c
-                for k, bc in enumerate(b):
-                    rem[shift + k] = (rem[shift + k] - c * bc) % p
-        return self._strip(quo), self._strip(rem)
+                for k, bc in zip(range(shift, shift + top), b):
+                    rem[k] = (rem[k] - c * bc) % p
+        return tuple(quo), self._strip(rem[:top])
 
     def _is_unit(self, a):
         return len(a) == 1
@@ -652,7 +648,8 @@ def normalize(a: RingElement) -> CanonicalAssociate:
 
 
 def gcd_bezout(a: RingElement, b: RingElement) -> BezoutCertificate:
-    """Extended Euclid; g is canonical, gcd(0, 0) = 0."""
+    """Extended Euclid; x*a + y*b = g with g canonical, gcd(0, 0) = 0.
+    ``smith`` requests one only for a pivot a that does not divide b."""
     ring = same_ring(a, b)
     g, x, y = ring._xgcd(a.payload, b.payload)
     return BezoutCertificate(RingElement(ring, g),
@@ -732,7 +729,8 @@ def factorize(a: RingElement) -> PrimeFactorization:
 
     Over GF(p)[x]: deterministic trial division by the monic polynomials in
     canonical order (``_gf_trial_factor``), so every divisor found is prime
-    and the factor list comes out sorted.
+    and the factor list comes out sorted.  A degree with more than
+    ``_GF_TRIAL_CANDIDATES`` candidates raises ``PreconditionError``.
     """
     if a.is_zero:
         raise PreconditionError("cannot factor 0")
@@ -961,6 +959,9 @@ def _gf_irreducible(ring: GFPolynomialRing, f) -> bool:
     return h == x
 
 
+_GF_TRIAL_CANDIDATES = 100_000  # monic candidates of one degree, p**deg
+
+
 def _gf_trial_factor(ring: GFPolynomialRing,
                      rest) -> list[tuple[tuple, int]]:
     """Prime powers of a monic non-unit payload by trial division.
@@ -969,11 +970,17 @@ def _gf_trial_factor(ring: GFPolynomialRing,
     order, so a candidate that divides is irreducible.  The search stops
     once twice the candidates' degree exceeds the cofactor's, and a
     non-unit cofactor left then is prime.  Quotients of monic payloads by
-    monic divisors stay monic.
+    monic divisors stay monic.  A degree with more than
+    ``_GF_TRIAL_CANDIDATES`` candidates raises ``PreconditionError`` before
+    any of them is tried.
     """
     factors = []
     deg = 1
     while 2 * deg < len(rest):
+        if ring.p ** deg > _GF_TRIAL_CANDIDATES:
+            raise PreconditionError(
+                f"trial division over {ring.name} would try {ring.p}**{deg} "
+                f"candidates of degree {deg}, over {_GF_TRIAL_CANDIDATES}")
         for low in itertools.product(range(ring.p), repeat=deg):
             d = low + (1,)
             e, rest = _valuation(ring, d, rest)

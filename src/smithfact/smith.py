@@ -14,17 +14,18 @@ reduction works on the matrices' raw payloads; ``RingElement`` values
 appear only in the Bezout certificates it requests and in the invariant
 factors it returns.
 
-Most Bezout blocks are plain eliminations: when the pivot a divides b the
-certificate is (x, y) = (1, 0) with s = a/g = 1, the block is
-[[1, 0], [-t, 1]], and only the eliminated row or column (and one row of
-V) changes, by ``q - t*p`` with the zero entries p skipped.  Every other
-block, including any certificate with s != 1, takes the general two-row
-combination, skipping positions where both entries are zero, once its
-determinant x*s + y*t is checked to be 1: a certificate with
-x*a + y*b != g raises ``PreconditionError`` instead of yielding a V that
-is not the inverse of v_inv.  After each pass the pivot
-must divide the rest of the submatrix; a unit pivot divides everything, so
-the divisibility scan is skipped for it.
+Each Bezout block starts with one division of b by the pivot a.  When a
+divides b no certificate is requested: with u the canonical unit of a the
+block is (x, y, s, t) = (u, 0, 1/u, (b/a)/u), and when u = 1 it is a plain
+elimination [[1, 0], [-t, 1]] that changes only the eliminated row or
+column (and one row of V), by ``q - t*p`` with the zero entries p
+skipped.  Only a pair with a not dividing b takes a certificate from
+``gcd_bezout``, applied as the general two-row combination, skipping
+positions where both entries are zero, once both quotients are exact and
+its determinant x*s + y*t is 1: a certificate with x*a + y*b != g raises
+``PreconditionError`` instead of yielding a V that is not the inverse of
+v_inv.  The pivot search and the divisibility scan after each pass skip
+zero entries, and a unit pivot, which divides everything, skips the scan.
 
 Module invariants come from the same reduction: U * A = D * V with U, V
 invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
@@ -149,16 +150,17 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     divisibility chain hold by construction.
 
     The reduction runs on rows of raw payloads with the ring's primitives
-    bound to locals; each Bezout block takes its certificate from
-    ``gcd_bezout``, and U, V and v_inv are built from the payload rows.
-    A block (x, y, s) = (1, 0, 1) is applied as a plain elimination; any
-    other must have determinant x*s + y*t = 1.  A unit pivot ends the pass
-    without the divisibility scan.
+    bound to locals, and U, V and v_inv are built from the payload rows.
+    A pivot that divides the entry gives its own block, a plain
+    elimination when the pivot is canonical; only a pair it does not
+    divide takes a certificate from ``gcd_bezout``, which must have
+    determinant x*s + y*t = 1.  A unit pivot ends the pass without the
+    divisibility scan.
     """
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
     sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
-    is_unit = ring._is_unit
+    is_unit, unit_inv = ring._is_unit, ring._unit_inv
     zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
     B = [list(a.payloads[i * n:(i + 1) * n]) for i in range(m)]
@@ -166,27 +168,30 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     V = [[one if i == j else zero for j in range(n)] for i in range(n)]
     Vi = [row[:] for row in V]
 
-    def quotient(x, g):
-        q, r = divmod_(x, g)
-        if r != zero:
-            raise _not_dividing(ring, g, x)
-        return q
-
     def bezout_block(av, bv):
-        """(plain, x, y, s, t) with s = a/g and t = b/g exact and the block
-        [[x, y], [-t, s]] of determinant x*s + y*t = 1.  A plain block
-        (1, 0, 1) has it by construction; any other is checked."""
+        """(plain, x, y, s, t) for the block [[x, y], [-t, s]] of
+        determinant x*s + y*t = 1, with s = a/g, t = b/g and g the canonical
+        gcd.  When the pivot a divides b, g = u*a for u = canonical_unit(a)
+        and the block is (u, 0, 1/u, (b/a)/u), plain when u = 1; no
+        certificate is requested.  Any other pair takes ``gcd_bezout``'s
+        certificate, with both quotients and the determinant checked."""
+        q, r = divmod_(bv, av)
+        if not r:
+            u = canonical_unit(av)
+            if u == one:
+                return True, one, zero, one, q
+            ui = unit_inv(u)
+            return False, u, zero, ui, mul(q, ui)
         cert = gcd_bezout(ring.element(av), ring.element(bv))
-        g = cert.g.payload
-        s = quotient(av, g)
-        t = quotient(bv, g)
-        x, y = cert.x.payload, cert.y.payload
-        plain = x == one and y == zero and s == one
-        if not plain and add(mul(x, s), mul(y, t)) != one:
+        g, x, y = cert.g.payload, cert.x.payload, cert.y.payload
+        (s, rs), (t, rt) = divmod_(av, g), divmod_(bv, g)
+        if rs or rt:
+            raise _not_dividing(ring, g, av if rs else bv)
+        if add(mul(x, s), mul(y, t)) != one:
             raise PreconditionError(
                 f"Bezout certificate of {ring._format(av)} and "
                 f"{ring._format(bv)} has x*a + y*b != g in {ring.name}")
-        return plain, x, y, s, t
+        return False, x, y, s, t
 
     def row_swap(i, j):
         B[i], B[j] = B[j], B[i]
@@ -202,7 +207,8 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     def row_combine(i, j):
         """Left-multiply rows (i, j) by [[x, y], [-b/g, a/g]] for the pivot
         column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0.
-        When a | b the block is [[1, 0], [-t, 1]]: plain elimination."""
+        When a | b with a canonical the block is [[1, 0], [-t, 1]]: plain
+        elimination."""
         plain, x, y, s, t = bezout_block(B[i][k], B[j][k])
         if plain:
             for mat in (B, U):
@@ -251,15 +257,8 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     k = 0
     while k < min(m, n):
         # deterministic pivot: smallest canonical nonzero entry, row-major
-        best = None
-        for i in range(k, m):
-            row = B[i]
-            for j in range(k, n):
-                e = row[j]
-                if e != zero:
-                    key = sort_key(e)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
+        best = min(((sort_key(e), i, j) for i in range(k, m)
+                    for j, e in enumerate(B[i][k:], k) if e), default=None)
         if best is None:
             break
         _, pi, pj = best
@@ -281,7 +280,7 @@ def smith(a: RingMatrix) -> SmithDecomposition:
                 break  # a unit divides every entry
             offender = next(
                 (i for i in range(k + 1, m)
-                 if any(divmod_(e, d)[1] != zero for e in B[i][k + 1:])),
+                 if any(e and divmod_(e, d)[1] for e in B[i][k + 1:])),
                 None)
             if offender is None:
                 break

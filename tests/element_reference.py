@@ -4,8 +4,11 @@
 operators entry by entry.  They are the slow path that the payload kernels
 in ``smithfact.smith`` and ``smithfact.matrices`` replaced, kept as the test
 oracle: both must give identical results, and ``smith`` must request the
-same Bezout certificates.  ``gcd_bezout`` is looked up on this module at
-call time so a test can count its calls.
+same Bezout certificates.  Like the kernel, ``smith`` here builds the
+certificate (u*a, u, 0), u the canonical unit of a, itself when the pivot a
+divides b, and requests one from ``gcd_bezout`` only for any other pair.
+``gcd_bezout`` is looked up on this module at call time so a test can
+count its calls.
 
 ``witness_holds`` is the full 2rho x 2rho block identity that the rho x rho
 ``StrongDecomposition.witness_holds`` replaced, kept as its oracle.
@@ -29,8 +32,8 @@ each ring's ``_matmul``.
 from __future__ import annotations
 
 from smithfact.matrices import RingMatrix
-from smithfact.rings import (GFPolynomialRing, divides, exact_div, gcd,
-                             gcd_all, gcd_bezout, normalize)
+from smithfact.rings import (BezoutCertificate, GFPolynomialRing, divides,
+                             exact_div, gcd, gcd_all, gcd_bezout, normalize)
 from smithfact.smith import SmithDecomposition
 
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds",
@@ -60,9 +63,15 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             Vi[r][i], Vi[r][j] = Vi[r][j], Vi[r][i]
         V[i], V[j] = V[j], V[i]
 
+    def certificate(av, bv):
+        if divides(av, bv):
+            c = normalize(av)
+            return BezoutCertificate(c.canonical, c.unit, ring.zero)
+        return gcd_bezout(av, bv)
+
     def row_combine(i, j):
         av, bv = B[i][k], B[j][k]
-        cert = gcd_bezout(av, bv)
+        cert = certificate(av, bv)
         s = exact_div(av, cert.g)
         t = exact_div(bv, cert.g)
         x, y = cert.x, cert.y
@@ -73,7 +82,7 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     def col_combine(i, j):
         av, bv = B[k][i], B[k][j]
-        cert = gcd_bezout(av, bv)
+        cert = certificate(av, bv)
         s = exact_div(av, cert.g)
         t = exact_div(bv, cert.g)
         x, y = cert.x, cert.y

