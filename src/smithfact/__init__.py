@@ -10,21 +10,20 @@ from .errors import (ParseError, PreconditionError, SmithfactError,
                      ValidationError)
 from .rings import (BezoutCertificate, CanonicalAssociate, GFPolynomialRing,
                     IntegerRing, PrimeFactorization, Ring, RingElement, ZZ,
-                    divides, exact_div, factorize, gcd, gcd_all, gcd_bezout,
-                    gf_polynomial_ring, is_prime, lcm,
-                    normalize, ring_from_text, same_ring)
+                    divides, exact_div, factorize, gcd, gcd_bezout,
+                    gf_polynomial_ring, is_prime, normalize, ring_from_text,
+                    same_ring)
 from .matrices import RingMatrix, kron
 from .smith import (LinearSolver, MINOR_ORACLE_CAP, ModuleInvariants,
                     SmithDecomposition, Subquotient, determinantal_invariants,
-                    equivalent, image_cokernel_invariants,
-                    invariant_factors_via_delta, kernel_basis, smith,
-                    subquotient)
+                    image_cokernel_invariants, invariant_factors_via_delta,
+                    kernel_basis, smith, subquotient)
 from .factorizations import (MatrixFactorization, MfMorphism, Triangle,
                              compose, cone, cone_triangle, direct_sum,
                              elementary, elementary_morphism,
-                             hom_differentials, identity_morphism, is_cocycle,
+                             hom_differentials, identity_morphism,
                              is_null_homotopic, null_homotopy_witness,
-                             suspend_morphism, suspension, zero_morphism)
+                             suspension)
 from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
                        cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
@@ -35,11 +34,11 @@ from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
 from .artinian import (ARQuiver, ARSequence, CyclicDecomposition,
                        LambdaContext, ar_quiver, ar_sequence, cok_crosscheck,
                        decompose_module, delta, generation_steps, hom_cyclic,
-                       hom_module, mu, quiver_dot, quotient, serre_identity,
-                       stable_hom, syzygy)
+                       mu, quiver_dot, quotient, serre_identity, stable_hom,
+                       syzygy)
 from .sampling import (conjugate_factorization, random_element,
                        random_label_multiset, random_matrix,
-                       random_nonzero_element, random_unimodular)
+                       random_unimodular)
 
 __version__ = "0.1.0"
 
@@ -48,16 +47,16 @@ __all__ = [
     "Ring", "IntegerRing", "GFPolynomialRing", "RingElement", "ZZ",
     "gf_polynomial_ring", "ring_from_text", "same_ring", "normalize",
     "CanonicalAssociate", "BezoutCertificate", "PrimeFactorization",
-    "gcd", "gcd_all", "gcd_bezout", "lcm", "divides", "exact_div",
+    "gcd", "gcd_bezout", "divides", "exact_div",
     "factorize", "is_prime",
     "RingMatrix", "kron",
     "SmithDecomposition", "smith", "MINOR_ORACLE_CAP",
-    "determinantal_invariants", "invariant_factors_via_delta", "equivalent",
+    "determinantal_invariants", "invariant_factors_via_delta",
     "kernel_basis", "ModuleInvariants", "image_cokernel_invariants",
     "LinearSolver", "Subquotient", "subquotient",
     "MatrixFactorization", "MfMorphism", "Triangle",
-    "elementary", "elementary_morphism", "identity_morphism", "zero_morphism",
-    "compose", "is_cocycle", "suspension", "suspend_morphism", "direct_sum",
+    "elementary", "elementary_morphism", "identity_morphism",
+    "compose", "suspension", "direct_sum",
     "hom_differentials",
     "null_homotopy_witness", "is_null_homotopic", "cone", "cone_triangle",
     "CriticalData", "critical_decompose", "critical_ideal_generator",
@@ -65,11 +64,11 @@ __all__ = [
     "is_zero_object", "cone_split", "is_iso", "HomModules", "hmf_hom",
     "hom_subquotients", "MfClass", "primary_decompose", "localize_class",
     "suspend_class", "primary_test_objects", "elementary_sum",
-    "LambdaContext", "delta", "mu", "hom_module", "stable_hom", "hom_cyclic",
+    "LambdaContext", "delta", "mu", "stable_hom", "hom_cyclic",
     "syzygy", "quotient", "CyclicDecomposition", "decompose_module",
     "ARSequence", "ar_sequence", "ARQuiver", "ar_quiver", "quiver_dot",
     "serre_identity", "generation_steps", "cok_crosscheck",
-    "random_element", "random_nonzero_element", "random_matrix",
+    "random_element", "random_matrix",
     "random_unimodular", "conjugate_factorization", "random_label_multiset",
     "__version__",
 ]

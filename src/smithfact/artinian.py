@@ -2,9 +2,9 @@
 
 Fix a prime p and n >= 1 and work over the quotient of the base domain by
 p^n.  The indecomposable modules are the cyclic quotients V_i by p^i for
-1 <= i <= n, so everything here is index arithmetic: hom sizes, stable hom
-sizes, syzygies, almost-split sequences and the Auslander-Reiten quiver,
-which can be rendered to DOT.  ``cok_crosscheck`` ties the index formulas
+1 <= i <= n, so everything here is index arithmetic: stable hom sizes,
+syzygies, almost-split sequences and the Auslander-Reiten quiver, which can
+be rendered to DOT.  ``cok_crosscheck`` ties the index formulas
 back to the matrix-factorization hom modules computed by the SNF machinery.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "LambdaContext",
     "delta",
     "mu",
-    "hom_module",
     "stable_hom",
     "hom_cyclic",
     "syzygy",
@@ -89,14 +88,6 @@ def mu(n: int, i: int, j: int) -> int:
     return min(delta(n, i), delta(n, j))
 
 
-def hom_module(ctx: LambdaContext, i: int, j: int) -> int:
-    """Hom(V_i, V_j) is cyclic with annihilator exponent min(i, j)."""
-    for k in (i, j):
-        if not 0 <= k <= ctx.n:
-            raise PreconditionError(f"index {k} outside 0..{ctx.n}")
-    return min(i, j)
-
-
 def stable_hom(ctx: LambdaContext, i: int, j: int) -> int:
     """Hom modulo projectives; cyclic with annihilator exponent mu."""
     for k in (i, j):
@@ -152,12 +143,6 @@ class CyclicDecomposition(NamedTuple):
                 raise PreconditionError(f"index {i} outside 1..{ctx.n}")
             items.append((i, c))
         return cls(ctx, tuple(items))
-
-    def counts(self) -> dict[int, int]:
-        return dict(self.mult)
-
-    def length(self) -> int:
-        return sum(i * c for i, c in self.mult)
 
     def __str__(self):
         if not self.mult:
@@ -220,11 +205,6 @@ class ARQuiver(NamedTuple):
     arrows: tuple[tuple[int, int], ...]
     translation: tuple[tuple[int, int | None], ...]
     projectives: tuple[int, ...]
-
-    def valuation(self, src: int, dst: int) -> tuple[int, int]:
-        if (src, dst) not in self.arrows:
-            raise PreconditionError(f"no arrow {src} -> {dst}")
-        return (1, 1)
 
     def translation_map(self) -> dict[int, int | None]:
         return dict(self.translation)

@@ -34,13 +34,10 @@ __all__ = [
     "Triangle",
     "elementary",
     "suspension",
-    "suspend_morphism",
     "direct_sum",
     "elementary_morphism",
     "identity_morphism",
-    "zero_morphism",
     "compose",
-    "is_cocycle",
     "hom_differentials",
     "null_homotopy_witness",
     "is_null_homotopic",
@@ -89,16 +86,6 @@ class MatrixFactorization:
     @property
     def is_elementary(self) -> bool:
         return self.rho == 1
-
-    def v_scalar(self) -> RingElement:
-        if not self.is_elementary:
-            raise PreconditionError("not an elementary factorization")
-        return self.v.entry(0, 0)
-
-    def u_scalar(self) -> RingElement:
-        if not self.is_elementary:
-            raise PreconditionError("not an elementary factorization")
-        return self.u.entry(0, 0)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixFactorization) and other.W == self.W
@@ -180,20 +167,9 @@ def _commutes(source: MatrixFactorization, target: MatrixFactorization,
             == ring._matmul(f00.payloads, source.v.payloads, r2, r1, r1))
 
 
-def is_cocycle(f: MfMorphism) -> bool:
-    """Re-check the commutation conditions on the stored components."""
-    return _commutes(f.source, f.target, f.f00, f.f11)
-
-
 def identity_morphism(a: MatrixFactorization) -> MfMorphism:
     eye = RingMatrix.identity(a.ring, a.rho)
     return MfMorphism(a, a, eye, eye)
-
-
-def zero_morphism(a: MatrixFactorization,
-                  b: MatrixFactorization) -> MfMorphism:
-    z = RingMatrix.zeros(a.ring, b.rho, a.rho)
-    return MfMorphism(a, b, z, z)
 
 
 def compose(g: MfMorphism, f: MfMorphism) -> MfMorphism:
@@ -225,11 +201,6 @@ def elementary_morphism(source: MatrixFactorization,
 def suspension(a: MatrixFactorization) -> MatrixFactorization:
     """Shift the grading: the suspension factors W as (-v, -u)."""
     return MatrixFactorization(a.W, -a.v, -a.u)
-
-
-def suspend_morphism(f: MfMorphism) -> MfMorphism:
-    return MfMorphism(suspension(f.source), suspension(f.target),
-                      f.f11, f.f00)
 
 
 def direct_sum(a: MatrixFactorization,

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .artinian import CyclicDecomposition, LambdaContext
-from .classify import (CriticalData, MfClass, StrongDecomposition,
-                       critical_decompose)
+from .artinian import CyclicDecomposition
+from .classify import MfClass, StrongDecomposition
 from .errors import ParseError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              elementary_morphism)
@@ -34,10 +33,8 @@ __all__ = [
     "smith_to_json",
     "module_to_json",
     "class_to_json",
-    "parse_class",
     "strong_to_json",
     "decomposition_to_json",
-    "parse_decomposition",
 ]
 
 
@@ -233,24 +230,6 @@ def class_to_json(c: MfClass) -> dict:
     }
 
 
-def parse_class(obj, ring: Ring | None = None) -> MfClass:
-    data = _as_object(obj, "class")
-    ring = parse_ring(data.get("ring"), ring)
-    _expect("W" in data, "class lacks \"W\"")
-    W = parse_element(ring, data["W"])
-    labels_raw = data.get("labels", [])
-    _expect(isinstance(labels_raw, list), "\"labels\" must be a list")
-    labels = []
-    for item in labels_raw:
-        _expect(isinstance(item, list) and len(item) == 2,
-                "each label must be a [prime, size] pair")
-        p_text, i = item
-        _expect(_is_int(i), "label size must be an integer")
-        labels.append((parse_element(ring, p_text), i))
-    cd = critical_decompose(W)
-    return MfClass.from_labels(cd, labels)
-
-
 def strong_to_json(dec: StrongDecomposition) -> dict:
     """Strong-isomorphism data: the invariant factors of v plus a flag for
     the availability of an explicit conjugating witness pair."""
@@ -269,26 +248,3 @@ def decomposition_to_json(dec: CyclicDecomposition) -> dict:
         "n": dec.context.n,
         "mult": {str(i): c for i, c in dec.mult},
     }
-
-
-def parse_decomposition(obj, ring: Ring | None = None) -> CyclicDecomposition:
-    data = _as_object(obj, "decomposition")
-    ring = parse_ring(data.get("ring"), ring)
-    for key in ("p", "n"):
-        _expect(key in data, f"decomposition lacks \"{key}\"")
-    _expect(_is_int(data["n"]), "\"n\" must be an integer")
-    ctx = LambdaContext(parse_element(ring, data["p"]), data["n"])
-    mult_raw = data.get("mult", {})
-    _expect(isinstance(mult_raw, dict), "\"mult\" must be an object")
-    counts = {}
-    for key, c in mult_raw.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise ParseError(f"bad index key {key!r}") from None
-        # only the key decomposition_to_json writes, so that no two keys
-        # ("1" and "01") name the same index
-        _expect(key == str(i), f"bad index key {key!r}")
-        _expect(_is_int(c), "multiplicities must be integers")
-        counts[i] = c
-    return CyclicDecomposition.from_counts(ctx, counts)

@@ -61,8 +61,6 @@ __all__ = [
     "normalize",
     "gcd_bezout",
     "gcd",
-    "gcd_all",
-    "lcm",
     "exact_div",
     "divides",
     "factorize",
@@ -663,30 +661,6 @@ def gcd(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(ring, ring._gcd(a.payload, b.payload))
 
 
-def gcd_all(elems, ring: Ring | None = None) -> RingElement:
-    """Canonical gcd of an iterable; gcd of nothing is 0 (needs ring)."""
-    elems = list(elems)
-    if not elems:
-        if ring is None:
-            raise PreconditionError("gcd of an empty sequence needs a ring")
-        return ring.zero
-    ring = same_ring(*elems)
-    acc = elems[0].payload
-    for e in elems[1:]:
-        acc = ring._gcd(acc, e.payload)
-    acc = ring._mul(ring._canonical_unit(acc), acc)
-    return RingElement(ring, acc)
-
-
-def lcm(a: RingElement, b: RingElement) -> RingElement:
-    """Canonical lcm; lcm with 0 is 0."""
-    ring = same_ring(a, b)
-    if a.is_zero or b.is_zero:
-        return ring.zero
-    g = gcd(a, b)
-    return normalize(exact_div(a * b, g)).canonical
-
-
 def divides(b: RingElement, a: RingElement) -> bool:
     """True when b | a; 0 divides only 0."""
     ring = same_ring(a, b)
@@ -925,7 +899,7 @@ def is_prime(a: RingElement) -> bool:
 
     Over Z certified as in ``factorize``, with the same PreconditionError
     beyond psi_13; over GF(p)[x] by Rabin's irreducibility test, without
-    factoring.
+    factoring, which raises PreconditionError past its work budget.
     """
     if a.is_zero or a.is_unit:
         return False
@@ -935,20 +909,35 @@ def is_prime(a: RingElement) -> bool:
     return _gf_irreducible(ring, normalize(a).canonical.payload)
 
 
+_RABIN_MAX_WORK = 1 << 24  # coefficient operations; see _gf_irreducible
+
+
 def _gf_irreducible(ring: GFPolynomialRing, f) -> bool:
     """Rabin's test (Rabin 1980) on a monic payload f of degree n >= 1.
 
     f is irreducible iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
     for every prime q dividing n.  The powers x^(p^i) mod f come from n
     successive p-th powers, each by square-and-multiply mod f.
+
+    A step of square-and-multiply costs about n*n*log2(p) coefficient
+    operations, so the whole test about n**3 * log2(p)**2.  Once the steps
+    taken pass _RABIN_MAX_WORK scaled down by the cost of a step, it raises
+    PreconditionError (CLI exit code 4) rather than run on.
     """
     n, p = len(f) - 1, ring.p
+    budget = _RABIN_MAX_WORK // (n * n * p.bit_length())
+    steps = 0
     x = ring._divmod((0, 1), f)[1]
     checks = {n // q for q, _ in _int_factor(n)} if n > 1 else set()
     h = x
     for i in range(1, n + 1):
         base, e, h = h, p, (1,)
         while e:  # h = base^p mod f
+            steps += 1
+            if steps > budget:
+                raise PreconditionError(
+                    f"Rabin's test on a degree-{n} polynomial over "
+                    f"{ring.name} needs more than {budget} steps")
             if e & 1:
                 h = ring._divmod(ring._mul(h, base), f)[1]
             e >>= 1

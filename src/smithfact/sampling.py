@@ -18,7 +18,6 @@ from .rings import GFPolynomialRing, IntegerRing, Ring, RingElement
 
 __all__ = [
     "random_element",
-    "random_nonzero_element",
     "random_matrix",
     "random_unimodular",
     "conjugate_factorization",
@@ -40,13 +39,6 @@ def random_element(ring: Ring, rng: Random, *, int_bound: int = 50,
         coeffs.append(rng.randrange(1, ring.p))
         return ring.element(tuple(coeffs))
     raise ValidationError(f"no sampler for {ring.name}")
-
-
-def random_nonzero_element(ring: Ring, rng: Random, **kw) -> RingElement:
-    while True:
-        e = random_element(ring, rng, **kw)
-        if not e.is_zero:
-            return e
 
 
 def random_matrix(ring: Ring, rng: Random, rows: int, cols: int,

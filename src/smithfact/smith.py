@@ -55,7 +55,6 @@ __all__ = [
     "DeterminantalInvariants",
     "determinantal_invariants",
     "invariant_factors_via_delta",
-    "equivalent",
     "kernel_basis",
     "ModuleInvariants",
     "image_cokernel_invariants",
@@ -339,16 +338,6 @@ def invariant_factors_via_delta(a: RingMatrix) -> tuple[RingElement, ...]:
     for k in range(1, inv.rank + 1):
         out.append(normalize(exact_div(inv.delta[k], inv.delta[k - 1])).canonical)
     return tuple(out)
-
-
-def equivalent(a: RingMatrix, b: RingMatrix) -> bool:
-    """Same rank and invariant factors; dimension mismatch is an error."""
-    if a.ring is not b.ring:
-        raise ValidationError("matrices over different rings")
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    da, db = smith(a), smith(b)
-    return da.rank == db.rank and da.invariant_factors == db.invariant_factors
 
 
 def kernel_basis(a: RingMatrix) -> RingMatrix:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from smithfact.matrices import RingMatrix
 from smithfact.rings import (BezoutCertificate, GFPolynomialRing, divides,
-                             exact_div, gcd, gcd_all, gcd_bezout, normalize)
+                             exact_div, gcd, gcd_bezout, normalize)
 from smithfact.smith import SmithDecomposition
 
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds",
@@ -214,7 +214,7 @@ def witness_holds(sd, a) -> bool:
 
 def elementary_morphism(source, target, r):
     """Components (f00, f11) = (r * v2/d, r * v1/d), d = gcd(v1, v2)."""
-    v1, v2 = source.v_scalar(), target.v_scalar()
+    v1, v2 = source.v.entry(0, 0), target.v.entry(0, 0)
     d = gcd(v1, v2)
     return r * exact_div(v2, d), r * exact_div(v1, d)
 
@@ -238,11 +238,11 @@ def cone_blocks(f) -> tuple[RingMatrix, RingMatrix]:
 def cone_split(f):
     """(xi, zeta) with xi = gcd(v1, v2, u1, u2, r) * v1 / gcd(v1, v2), r
     the scalar of f00 = r * v2/gcd(v1, v2), and zeta = v1 * u2 / xi."""
-    v1, v2 = f.source.v_scalar(), f.target.v_scalar()
-    u1, u2 = f.source.u_scalar(), f.target.u_scalar()
+    v1, v2 = f.source.v.entry(0, 0), f.target.v.entry(0, 0)
+    u1, u2 = f.source.u.entry(0, 0), f.target.u.entry(0, 0)
     d = gcd(v1, v2)
     r = exact_div(f.f00.entry(0, 0) * d, v2)
-    s = gcd_all([d, u1, u2, r])
+    s = gcd(gcd(gcd(d, u1), u2), r)
     xi = normalize(exact_div(s * v1, d)).canonical
     zeta = normalize(exact_div(v1 * u2, xi)).canonical
     return xi, zeta

@@ -414,6 +414,16 @@ def test_quiver_large_prime(capsys):
     assert seconds < 2
 
 
+def test_quiver_rabin_past_budget_exit_4(capsys):
+    # Rabin's test of a degree-1000 modulus takes about 1000**3 operations
+    code, out, err, seconds = timed_run(capsys, "quiver", "x^1000+x+2", "2",
+                                        "--ring", "GF(3)[x]")
+    assert code == 4 and out == ""
+    assert err.startswith("precondition violated: Rabin's test")
+    assert err.count("\n") == 1
+    assert seconds < 2
+
+
 # ---------------------------------------------------------------------------
 # demo
 

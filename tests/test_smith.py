@@ -16,7 +16,6 @@ from smithfact import (
     divides,
     determinantal_invariants,
     elementary_sum,
-    equivalent,
     hmf_hom,
     hom_differentials,
     image_cokernel_invariants,
@@ -276,17 +275,6 @@ def test_minor_oracle_refuses_above_cap():
         determinantal_invariants(a)
     with pytest.raises(PreconditionError):
         invariant_factors_via_delta(a)
-
-
-# ---------------------------------------------------------------------------
-# equivalence
-
-
-def test_equivalent_examples():
-    assert not equivalent(M([[2, 0], [0, 4]]), M([[1, 0], [0, 8]]))
-    assert equivalent(M([[2, 0], [0, 3]]), M([[1, 0], [0, 6]]))
-    with pytest.raises(ValidationError):
-        equivalent(M([[1]]), M([[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
