@@ -242,7 +242,12 @@ def _elementary_scalar(ring, f00, v2, d):
 
 def _split_payloads(f: MfMorphism) -> tuple:
     """Payloads (xi, zeta) of ``cone_split``.  Every division is exact on
-    a valid morphism: d divides v1 and s * v1, xi divides v1 * u2."""
+    a valid morphism: d divides v1 and s * v1, xi divides v1 * u2.
+
+    The split is computed once per morphism: the first call keeps it in
+    ``f``'s private slot and later calls return it."""
+    if f._split is not None:
+        return f._split
     src, dst = f.source, f.target
     if not (src.is_elementary and dst.is_elementary):
         raise PreconditionError("morphism endpoints must be elementary")
@@ -257,7 +262,8 @@ def _split_payloads(f: MfMorphism) -> tuple:
     xi = divmod_(mul(s, v1), d)[0]
     xi = mul(unit(xi), xi)
     zeta = divmod_(mul(v1, u2), xi)[0]
-    return xi, mul(unit(zeta), zeta)
+    f._split = xi, mul(unit(zeta), zeta)
+    return f._split
 
 
 def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
@@ -267,7 +273,8 @@ def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
     xi = gcd(v1, v2, u1, u2, r) * v1 / gcd(v1, v2) and zeta = v1*u2 / xi;
     these are the invariant factors of the cone's u block, ordered by
     divisibility, and the suspended cone is strongly isomorphic to
-    e_xi + e_zeta.
+    e_xi + e_zeta.  The split is computed once per morphism and shared
+    with ``is_iso``.
     """
     ring = f.ring
     xi, zeta = _split_payloads(f)
@@ -276,7 +283,8 @@ def cone_split(f: MfMorphism) -> tuple[RingElement, RingElement]:
 
 def is_iso(f: MfMorphism) -> bool:
     """Invertibility in the homotopy category: the cone, strongly isomorphic
-    to e_xi + e_zeta after suspension, is a zero object."""
+    to e_xi + e_zeta after suspension, is a zero object.  Reads the split
+    that ``cone_split`` computed on ``f``, or computes it once."""
     return _is_zero_sum(f.ring, f.source.W.payload, _split_payloads(f))
 
 

@@ -116,9 +116,14 @@ class MfMorphism:
 
     Components f00 (even) and f11 (odd) are rho2 x rho1 and must satisfy the
     commutation conditions v2*f11 = f00*v1 and u2*f00 = f11*u1.
+
+    A morphism is never mutated after ``__init__``, so the payloads of its
+    cone split, once ``classify`` has computed them, are kept in a private
+    slot and read back by ``cone_split`` and ``is_iso``.  A morphism built
+    again, even an equal one, computes its split afresh.
     """
 
-    __slots__ = ("source", "target", "f00", "f11")
+    __slots__ = ("source", "target", "f00", "f11", "_split")
 
     def __init__(self, source: MatrixFactorization, target: MatrixFactorization,
                  f00: RingMatrix, f11: RingMatrix):
@@ -131,6 +136,7 @@ class MfMorphism:
         self.target = target
         self.f00 = f00
         self.f11 = f11
+        self._split = None
 
     @property
     def ring(self):
@@ -266,12 +272,32 @@ def cone(f: MfMorphism) -> MatrixFactorization:
     """Mapping cone; blocks follow the fixed sign convention
 
     u = [[-v1, 0], [f11, u2]],  v = [[-u1, 0], [f00, v2]].
+
+    Each block is assembled as one row-major payload list; the validated
+    morphism already fixes the shapes and the ring, and
+    ``MatrixFactorization`` checks the result.
     """
     a1, a2 = f.source, f.target
-    z = RingMatrix.zeros(f.ring, a1.rho, a2.rho)
-    cu = RingMatrix.block([[-a1.v, z], [f.f11, a2.u]])
-    cv = RingMatrix.block([[-a1.u, z], [f.f00, a2.v]])
-    return MatrixFactorization(f.source.W, cu, cv)
+    return MatrixFactorization(a1.W, _cone_block(a1.v, f.f11, a2.u),
+                               _cone_block(a1.u, f.f00, a2.v))
+
+
+def _cone_block(top: RingMatrix, low: RingMatrix,
+                right: RingMatrix) -> RingMatrix:
+    """[[-top, 0], [low, right]] for top rho1 x rho1, low rho2 x rho1 and
+    right rho2 x rho2."""
+    ring, r1, r2 = top.ring, top.rows, right.rows
+    neg, tp, lp, rp = ring._neg, top.payloads, low.payloads, right.payloads
+    pad = [ring._from_int(0)] * r2
+    out = []
+    for i in range(r1):
+        out += [neg(x) for x in tp[i * r1:(i + 1) * r1]]
+        out += pad
+    for i in range(r2):
+        out += lp[i * r1:(i + 1) * r1]
+        out += rp[i * r2:(i + 1) * r2]
+    n = r1 + r2
+    return RingMatrix(ring, n, n, out)
 
 
 class Triangle(NamedTuple):

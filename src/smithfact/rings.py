@@ -31,7 +31,12 @@ products, and GF(p)[x] packs every entry of both operands once, so each
 output entry is one big-integer dot product, unpacked once.  A slot then
 holds k*min(la, lb) terms of at most (p-1)**2 (k the inner dimension, la
 and lb the longest entries).  Products with an empty or all-zero operand,
-and slots past 8 bytes, fall back to the loop.
+and slots past 8 bytes, fall back to the loop.  A product of inner
+dimension k = 1 has nothing to sum: each entry is one ``_mul``, with
+nothing packed.  This rule comes from the product's shape, not its size.
+
+Z's gcd is ``math.gcd``; the GF(p)[x] gcd is Euclid on remainders alone,
+with no quotient built.  ``Ring`` itself has no gcd loop to inherit.
 """
 
 from __future__ import annotations
@@ -170,9 +175,8 @@ class Ring:
         return out
 
     def _gcd(self, a, b):
-        while b:
-            a, b = b, self._divmod(a, b)[1]
-        return self._mul(self._canonical_unit(a), a)
+        """The canonical gcd of two payloads; gcd(0, 0) is zero."""
+        raise NotImplementedError
 
     def __repr__(self):
         return self.name
@@ -347,6 +351,9 @@ class GFPolynomialRing(Ring):
         return tuple(out)
 
     def _matmul(self, ap, bp, rows, k, n):
+        if k == 1:  # each entry is a single product: nothing to sum
+            mul = self._mul
+            return [mul(x, y) for x in ap for y in bp]
         # a slot holds a sum of k*min(la, lb) terms of at most (p-1)**2
         la = max(map(len, ap), default=0)
         lb = max(map(len, bp), default=0)
@@ -395,6 +402,31 @@ class GFPolynomialRing(Ring):
                 for k, bc in zip(range(shift, shift + top), b):
                     rem[k] = (rem[k] - c * bc) % p
         return tuple(quo), self._strip(rem[:top])
+
+    def _gcd(self, a, b):
+        # Euclid on remainders alone: each step reduces the longer list in
+        # place by the shorter, with one inverse of the divisor's leading
+        # coefficient, and builds no quotient.
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        r0, r1 = list(a), list(b)
+        while r1:
+            top = len(r1) - 1
+            inv_lead = 1 if r1[top] == 1 else pow(r1[top], -1, p)
+            for shift in range(len(r0) - 1 - top, -1, -1):
+                c = r0[shift + top] * inv_lead % p
+                if c:
+                    for k, bc in zip(range(shift, shift + top), r1):
+                        r0[k] = (r0[k] - c * bc) % p
+            del r0[top:]
+            while r0 and not r0[-1]:
+                r0.pop()
+            r0, r1 = r1, r0
+        if not r0 or r0[-1] == 1:
+            return tuple(r0)
+        inv_lead = pow(r0[-1], -1, p)
+        return tuple([c * inv_lead % p for c in r0])
 
     def _is_unit(self, a):
         return len(a) == 1

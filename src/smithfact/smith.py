@@ -10,9 +10,9 @@ V, v_inv and the chain only; the rank and D are derived from them, and
 proves U invertible by a right inverse read from A * v_inv, with no
 determinant; only when rank < rows, where D has zero rows and A * v_inv
 yields no such inverse, does it compute det U by Bareiss elimination.  The
-reduction works on the matrices' raw payloads; ``RingElement`` values
-appear only in the Bezout certificates it requests and in the invariant
-factors it returns.
+reduction works on the matrices' raw payloads, in one loop with no
+per-call closures; ``RingElement`` values appear only in the Bezout
+certificates it requests and in the invariant factors it returns.
 
 Each Bezout block starts with one division of b by the pivot a.  When a
 divides b no certificate is requested: with u the canonical unit of a the
@@ -20,12 +20,15 @@ block is (x, y, s, t) = (u, 0, 1/u, (b/a)/u), and when u = 1 it is a plain
 elimination [[1, 0], [-t, 1]] that changes only the eliminated row or
 column (and one row of V), by ``q - t*p`` with the zero entries p
 skipped.  Only a pair with a not dividing b takes a certificate from
-``gcd_bezout``, applied as the general two-row combination, skipping
+``gcd_bezout``, requested and checked in one helper (``_certificate``),
+and applied as the general two-row combination, skipping
 positions where both entries are zero, once both quotients are exact and
 its determinant x*s + y*t is 1: a certificate with x*a + y*b != g raises
 ``PreconditionError`` instead of yielding a V that is not the inverse of
 v_inv.  The pivot search and the divisibility scan after each pass skip
 zero entries, and a unit pivot, which divides everything, skips the scan.
+The pivot column is re-checked only after a general column block, the one
+step that can refill it.
 
 Module invariants come from the same reduction: U * A = D * V with U, V
 invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
@@ -41,7 +44,7 @@ inputs are refused.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
@@ -138,6 +141,24 @@ class SmithDecomposition(NamedTuple):
         return True
 
 
+def _certificate(ring: Ring, av, bv) -> tuple:
+    """(x, y, s, t) for payloads av not dividing bv: ``gcd_bezout``'s
+    certificate x*a + y*b = g with s = a/g and t = b/g.  Both quotients must
+    be exact and the determinant x*s + y*t must be 1, or the certificate is
+    refused.  ``gcd_bezout`` is looked up on this module at call time."""
+    add, mul, divmod_ = ring._add, ring._mul, ring._divmod
+    cert = gcd_bezout(ring.element(av), ring.element(bv))
+    g, x, y = cert.g.payload, cert.x.payload, cert.y.payload
+    (s, rs), (t, rt) = divmod_(av, g), divmod_(bv, g)
+    if rs or rt:
+        raise _not_dividing(ring, g, av if rs else bv)
+    if add(mul(x, s), mul(y, t)) != ring._from_int(1):
+        raise PreconditionError(
+            f"Bezout certificate of {ring._format(av)} and "
+            f"{ring._format(bv)} has x*a + y*b != g in {ring.name}")
+    return x, y, s, t
+
+
 def smith(a: RingMatrix) -> SmithDecomposition:
     """Gcd-driven row/column reduction with deterministic pivoting.
 
@@ -149,12 +170,14 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     divisibility chain hold by construction.
 
     The reduction runs on rows of raw payloads with the ring's primitives
-    bound to locals, and U, V and v_inv are built from the payload rows.
-    A pivot that divides the entry gives its own block, a plain
-    elimination when the pivot is canonical; only a pair it does not
-    divide takes a certificate from ``gcd_bezout``, which must have
-    determinant x*s + y*t = 1.  A unit pivot ends the pass without the
-    divisibility scan.
+    bound to locals, in one loop with no per-call closures, and U, V and
+    v_inv are built from the payload rows.  The block of a pair (a, b),
+    a the pivot, is [[x, y], [-t, s]] with determinant x*s + y*t = 1,
+    s = a/g, t = b/g and g the canonical gcd.  When a divides b, g = u*a
+    for u = canonical_unit(a) and the block is (u, 0, 1/u, (b/a)/u): a
+    plain elimination [[1, 0], [-t, 1]] when u = 1.  Only a pair it does
+    not divide takes a certificate, from ``_certificate``.  A unit pivot
+    ends the pass without the divisibility scan.
     """
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
@@ -163,95 +186,13 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
     B = [list(a.payloads[i * n:(i + 1) * n]) for i in range(m)]
-    U = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    V = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    U = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        U[i][i] = one
+    V = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        V[i][i] = one
     Vi = [row[:] for row in V]
-
-    def bezout_block(av, bv):
-        """(plain, x, y, s, t) for the block [[x, y], [-t, s]] of
-        determinant x*s + y*t = 1, with s = a/g, t = b/g and g the canonical
-        gcd.  When the pivot a divides b, g = u*a for u = canonical_unit(a)
-        and the block is (u, 0, 1/u, (b/a)/u), plain when u = 1; no
-        certificate is requested.  Any other pair takes ``gcd_bezout``'s
-        certificate, with both quotients and the determinant checked."""
-        q, r = divmod_(bv, av)
-        if not r:
-            u = canonical_unit(av)
-            if u == one:
-                return True, one, zero, one, q
-            ui = unit_inv(u)
-            return False, u, zero, ui, mul(q, ui)
-        cert = gcd_bezout(ring.element(av), ring.element(bv))
-        g, x, y = cert.g.payload, cert.x.payload, cert.y.payload
-        (s, rs), (t, rt) = divmod_(av, g), divmod_(bv, g)
-        if rs or rt:
-            raise _not_dividing(ring, g, av if rs else bv)
-        if add(mul(x, s), mul(y, t)) != one:
-            raise PreconditionError(
-                f"Bezout certificate of {ring._format(av)} and "
-                f"{ring._format(bv)} has x*a + y*b != g in {ring.name}")
-        return False, x, y, s, t
-
-    def row_swap(i, j):
-        B[i], B[j] = B[j], B[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in B:
-            row[i], row[j] = row[j], row[i]
-        for row in Vi:
-            row[i], row[j] = row[j], row[i]
-        V[i], V[j] = V[j], V[i]
-
-    def row_combine(i, j):
-        """Left-multiply rows (i, j) by [[x, y], [-b/g, a/g]] for the pivot
-        column entries a = B[i][k], b = B[j][k]; afterwards B[j][k] = 0.
-        When a | b with a canonical the block is [[1, 0], [-t, 1]]: plain
-        elimination."""
-        plain, x, y, s, t = bezout_block(B[i][k], B[j][k])
-        if plain:
-            for mat in (B, U):
-                mat[j] = [q if p == zero else sub(q, mul(t, p))
-                          for p, q in zip(mat[i], mat[j])]
-            return
-        # payloads are falsy exactly at zero; a zero pair stays zero
-        for mat in (B, U):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [add(mul(x, p), mul(y, q)) if p or q else zero
-                      for p, q in zip(ri, rj)]
-            mat[j] = [sub(mul(s, q), mul(t, p)) if p or q else zero
-                      for p, q in zip(ri, rj)]
-
-    def col_combine(i, j):
-        """Right-multiply columns (i, j) by the analogous Bezout block for
-        the pivot row entries a = B[k][i], b = B[k][j]; V takes the inverse
-        block from the left."""
-        plain, x, y, s, t = bezout_block(B[k][i], B[k][j])
-        if plain:
-            for mat in (B, Vi):
-                for row in mat:
-                    p = row[i]
-                    if p != zero:
-                        row[j] = sub(row[j], mul(t, p))
-            V[i] = [p if q == zero else add(p, mul(t, q))
-                    for p, q in zip(V[i], V[j])]
-            return
-        for mat in (B, Vi):
-            for row in mat:
-                p, q = row[i], row[j]
-                if p or q:
-                    row[i] = add(mul(x, p), mul(y, q))
-                    row[j] = sub(mul(s, q), mul(t, p))
-        ri, rj = V[i], V[j]
-        V[i] = [add(mul(s, p), mul(t, q)) if p or q else zero
-                for p, q in zip(ri, rj)]
-        V[j] = [sub(mul(x, q), mul(y, p)) if p or q else zero
-                for p, q in zip(ri, rj)]
-
-    def row_add_into_pivot(i):
-        # row_k += row_i ; same left transform applied to U
-        B[k] = [add(p, q) for p, q in zip(B[k], B[i])]
-        U[k] = [add(p, q) for p, q in zip(U[k], U[i])]
 
     k = 0
     while k < min(m, n):
@@ -262,39 +203,104 @@ def smith(a: RingMatrix) -> SmithDecomposition:
             break
         _, pi, pj = best
         if pi != k:
-            row_swap(k, pi)
+            B[k], B[pi] = B[pi], B[k]
+            U[k], U[pi] = U[pi], U[k]
         if pj != k:
-            col_swap(k, pj)
+            for row in B:
+                row[k], row[pj] = row[pj], row[k]
+            for row in Vi:
+                row[k], row[pj] = row[pj], row[k]
+            V[k], V[pj] = V[pj], V[k]
         while True:
+            refilled = False  # only a general column block refills column k
+            # rows: left-multiply rows (k, i) by the block of the pivot
+            # column entries a = B[k][k], b = B[i][k]; then B[i][k] = 0
             for i in range(k + 1, m):
-                if B[i][k] != zero:
-                    row_combine(k, i)
+                bv = B[i][k]
+                if bv == zero:
+                    continue
+                av = B[k][k]
+                q, r = divmod_(bv, av)
+                if r:
+                    x, y, s, t = _certificate(ring, av, bv)
+                else:
+                    u = canonical_unit(av)
+                    if u == one:  # plain: only row i changes
+                        for mat in (B, U):
+                            mat[i] = [e if p == zero else sub(e, mul(q, p))
+                                      for p, e in zip(mat[k], mat[i])]
+                        continue
+                    s = unit_inv(u)
+                    x, y, t = u, zero, mul(q, s)
+                # payloads are falsy exactly at zero; a zero pair stays zero
+                for mat in (B, U):
+                    rk, ri = mat[k], mat[i]
+                    mat[k] = [add(mul(x, p), mul(y, e)) if p or e else zero
+                              for p, e in zip(rk, ri)]
+                    mat[i] = [sub(mul(s, e), mul(t, p)) if p or e else zero
+                              for p, e in zip(rk, ri)]
+            # columns: right-multiply columns (k, j) by the block of the
+            # pivot row entries a = B[k][k], b = B[k][j]; V takes the
+            # inverse block from the left
             for j in range(k + 1, n):
-                if B[k][j] != zero:
-                    col_combine(k, j)
-            if any(B[i][k] != zero for i in range(k + 1, m)):
+                bv = B[k][j]
+                if bv == zero:
+                    continue
+                av = B[k][k]
+                q, r = divmod_(bv, av)
+                if r:
+                    x, y, s, t = _certificate(ring, av, bv)
+                else:
+                    u = canonical_unit(av)
+                    if u == one:  # plain: only column j and row k of V
+                        for mat in (B, Vi):
+                            for row in mat:
+                                p = row[k]
+                                if p != zero:
+                                    row[j] = sub(row[j], mul(q, p))
+                        V[k] = [p if e == zero else add(p, mul(q, e))
+                                for p, e in zip(V[k], V[j])]
+                        continue
+                    s = unit_inv(u)
+                    x, y, t = u, zero, mul(q, s)
+                refilled = True
+                for mat in (B, Vi):
+                    for row in mat:
+                        p, e = row[k], row[j]
+                        if p or e:
+                            row[k] = add(mul(x, p), mul(y, e))
+                            row[j] = sub(mul(s, e), mul(t, p))
+                vk, vj = V[k], V[j]
+                V[k] = [add(mul(s, p), mul(t, e)) if p or e else zero
+                        for p, e in zip(vk, vj)]
+                V[j] = [sub(mul(x, e), mul(y, p)) if p or e else zero
+                        for p, e in zip(vk, vj)]
+            if refilled and any(B[i][k] != zero for i in range(k + 1, m)):
                 continue  # column refilled by the column pass
             d = B[k][k]
             if is_unit(d):
                 break  # a unit divides every entry
-            offender = next(
-                (i for i in range(k + 1, m)
-                 if any(e and divmod_(e, d)[1] for e in B[i][k + 1:])),
-                None)
-            if offender is None:
+            for i in range(k + 1, m):
+                if any(e and divmod_(e, d)[1] for e in B[i][k + 1:]):
+                    break
+            else:
                 break
-            row_add_into_pivot(offender)
+            # row k += row i, which d does not divide; the same on U
+            B[k] = [add(p, e) for p, e in zip(B[k], B[i])]
+            U[k] = [add(p, e) for p, e in zip(U[k], U[i])]
         u = canonical_unit(B[k][k])
         if u != one:
             B[k] = [mul(u, e) for e in B[k]]
             U[k] = [mul(u, e) for e in U[k]]
         k += 1
 
+    flat = chain.from_iterable
     return SmithDecomposition(
-        U=RingMatrix(ring, m, m, [e for row in U for e in row]),
-        V=RingMatrix(ring, n, n, [e for row in V for e in row]),
-        invariant_factors=tuple(ring.element(B[i][i]) for i in range(k)),
-        v_inv=RingMatrix(ring, n, n, [e for row in Vi for e in row]),
+        U=RingMatrix(ring, m, m, flat(U)),
+        V=RingMatrix(ring, n, n, flat(V)),
+        invariant_factors=tuple([RingElement(ring, B[i][i])
+                                 for i in range(k)]),
+        v_inv=RingMatrix(ring, n, n, flat(Vi)),
     )
 
 

@@ -27,6 +27,11 @@ by the inverse of a unit divisor, ``gf_sub`` the two-pass difference it
 inherited, and ``gf_add`` the sum that always copied and stripped; they are
 the oracles of those payload primitives.  ``matmul`` is also the oracle of
 each ring's ``_matmul``.
+
+``euclid_gcd`` is the Euclid loop on payloads that every ring inherited
+before Z took ``math.gcd`` and GF(p)[x] a remainder-only loop: each step
+keeps the remainder of ``_divmod``, and the last non-zero remainder is made
+canonical.  It is the oracle of each ring's ``_gcd``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from smithfact.smith import SmithDecomposition
 
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds",
            "elementary_morphism", "cone_blocks", "cone_split", "is_iso",
-           "gf_mul", "gf_divmod", "gf_sub", "gf_add"]
+           "gf_mul", "gf_divmod", "gf_sub", "gf_add", "euclid_gcd"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -301,3 +306,11 @@ def gf_add(p: int, a: tuple, b: tuple) -> tuple:
     n = max(len(a), len(b))
     a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
     return _strip([(x + y) % p for x, y in zip(a, b)])
+
+
+def euclid_gcd(ring, a, b):
+    """The canonical gcd of payloads a and b by Euclid's loop on
+    ``ring._divmod``; gcd(0, 0) is zero."""
+    while b:
+        a, b = b, ring._divmod(a, b)[1]
+    return ring._mul(ring._canonical_unit(a), a)

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from smithfact import (
-    ARQuiver,
     ValidationError,
     CyclicDecomposition,
     LambdaContext,
@@ -17,7 +16,6 @@ from smithfact import (
     decompose_module,
     delta,
     generation_steps,
-    gf_polynomial_ring,
     hom_cyclic,
     mu,
     quiver_dot,

@@ -433,6 +433,38 @@ def test_cone_path_matches_element_reference(W):
         assert is_iso(f) == ref.is_iso(f)
 
 
+@pytest.mark.parametrize("W", CONE_PATH_WS, ids=str)
+def test_cone_split_is_computed_once_per_morphism(W, monkeypatch):
+    ring = W.ring
+    calls = []
+    real = type(ring)._gcd
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(ring), "_gcd", counting)
+    for src, dst, r in _seeded_cone_inputs(W):
+        f = elementary_morphism(src, dst, r)
+        want_split, want_iso = ref.cone_split(f), ref.is_iso(f)
+        calls.clear()
+        assert is_iso(f) == want_iso  # computes the split: 4 gcds
+        zero_test = len(calls) - 4  # one gcd per piece, up to a non-unit
+        assert zero_test in (1, 2)
+        calls.clear()
+        assert is_iso(f) == want_iso
+        assert cone_split(f) == want_split
+        assert cone_split(f) == want_split
+        # the split is read back: only is_iso's zero test takes gcds again
+        assert len(calls) == zero_test
+        # an equal morphism built anew computes its split afresh
+        g = MfMorphism(f.source, f.target, f.f00, f.f11)
+        assert g == f
+        calls.clear()
+        assert cone_split(g) == want_split
+        assert len(calls) == 4
+
+
 # ---------------------------------------------------------------------------
 # hom modules
 

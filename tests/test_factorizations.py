@@ -28,7 +28,7 @@ from smithfact import (
     suspension,
 )
 from conftest import GF3, Z, z
-from element_reference import matmul
+from element_reference import cone_blocks, matmul
 
 
 def zmat(rows):
@@ -216,6 +216,25 @@ def test_cone_blocks():
     assert c.rho == 2
     assert c.u == zmat([[-2, 0], [1, 2]])
     assert c.v == zmat([[-6, 0], [3, 6]])
+
+
+@pytest.mark.parametrize("W", [z(12), GF3.parse("x^3+x^2")], ids=str)
+def test_cone_blocks_match_element_reference_on_every_rank(W):
+    # source and target ranks from 0 to 3, not only the elementary 1 -> 1
+    ring = W.ring
+    v = z(2) if ring is Z else GF3.parse("x")
+    f = elementary_morphism(elementary(v, W), elementary(W, W), ring.one)
+    t = cone_triangle(f)
+    big = direct_sum(t.cone, elementary(ring.one, W))
+    empty = RingMatrix.zeros(ring, 0, 0)
+    zero = MatrixFactorization(W, empty, empty)
+    into = RingMatrix.zeros(ring, big.rho, 0)
+    for g in (f, t.phi, t.psi, identity_morphism(big),
+              identity_morphism(zero), MfMorphism(zero, big, into, into),
+              MfMorphism(big, zero, into.transpose(), into.transpose())):
+        c = cone(g)
+        assert c.rho == g.source.rho + g.target.rho
+        assert (c.u, c.v) == cone_blocks(g)
 
 
 def test_cone_of_zero_is_suspension_plus_target():

@@ -309,6 +309,35 @@ def test_gf_payload_ops_match_schoolbook(p, kronecker_everywhere,
             assert not got or got[-1] != 0
 
 
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_gf_gcd_matches_the_euclid_loop(p):
+    # GFPolynomialRing._gcd keeps remainders only; the Euclid loop over
+    # _divmod, which builds every quotient, is the reference
+    ring = gf_polynomial_ring(p)
+    assert vars(GFPolynomialRing)["_gcd"] is not vars(Ring)["_gcd"]
+    rng = random.Random(p)
+
+    def poly(degree):
+        if degree < 0:
+            return ()
+        return tuple(rng.randrange(p) for _ in range(degree)) + \
+            (rng.randrange(1, p),)
+
+    fixed = [(), (1,), (p - 1,), (0, 1), (1, 1), (0, 0, p - 1)]
+    pairs = [(a, b) for a in fixed for b in fixed]
+    for _ in range(200):
+        # a shared factor, so not every gcd is 1
+        c = poly(rng.randint(0, 3))
+        a = ring._mul(c, poly(rng.randint(-1, 6)))
+        b = ring._mul(c, poly(rng.randint(-1, 6)))
+        pairs += [(a, b), (b, a), (a, a), (a, ()), ((), b)]
+    for a, b in pairs:
+        g = ring._gcd(a, b)
+        assert type(g) is tuple and g == ref.euclid_gcd(ring, a, b), (a, b)
+        assert not g or g[-1] == 1  # monic
+    assert ring._gcd((), ()) == ()
+
+
 # (rows, k, n): empty and one-by-one shapes, outer and inner products, and
 # squares up to snf_certify's largest GF(p)[x] shape
 MATMUL_SHAPES = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1),
@@ -352,6 +381,9 @@ def test_matmul_matches_element_reference(ring, monkeypatch):
     loops = []  # products that fell back to the schoolbook loop
     monkeypatch.setattr(Ring, "_matmul",
                         _counting(vars(Ring)["_matmul"], loops))
+    muls = []  # GF(p)[x] entry products, checked on the k = 1 path
+    monkeypatch.setattr(GFPolynomialRing, "_mul",
+                        _counting(vars(GFPolynomialRing)["_mul"], muls))
     rng = random.Random(61)
     slotless = 0  # GF(p)[x] products with no slot for their coefficients
     for a, b, r, k, n in matmul_operands(ring, rng):
@@ -365,22 +397,30 @@ def test_matmul_matches_element_reference(ring, monkeypatch):
             continue
         assert all(type(e) is tuple and (not e or e[-1] != 0)
                    for e in got), got
+        # with k = 1 each entry is one _mul and nothing is packed; otherwise
         # the loop runs exactly when _KRONECKER_SLOTS (1 to 8 bytes) has no
-        # slot for a sum of k*min(la, lb) terms of at most (p-1)**2: an
-        # empty or all-zero operand, or a bound past 8 bytes
+        # slot for a sum of k*min(la, lb) terms of at most (p-1)**2: k = 0,
+        # an empty or all-zero operand, or a bound past 8 bytes
         la = max(map(len, a), default=0)
         lb = max(map(len, b), default=0)
         bound = k * min(la, lb) * (ring.p - 1) ** 2
         no_slot = bound == 0 or bound >= 2**64
         assert no_slot == (rings._KRONECKER_SLOTS.get(
             bound.bit_length() + 7 >> 3) is None)
-        assert len(loops) - before == no_slot, (ring.p, r, k, n, la, lb)
-        slotless += no_slot
+        looped = k != 1 and no_slot
+        assert len(loops) - before == looped, (ring.p, r, k, n, la, lb)
+        slotless += looped
+        if k == 1:
+            muls.clear()
+            assert ring._matmul(a, b, r, k, n) == got
+            assert muls == [(ring, x, y) for x in a for y in b]
     if ring is not Z:
-        # both paths run: every ring has empty and all-zero products, and
-        # only over 10**18+3 does every other product need a slot past 8 bytes
-        total = 4 * len(MATMUL_SHAPES)
-        assert slotless and (slotless == total) == (ring.p == 10**18 + 3)
+        # both paths run: every ring has empty and all-zero products with
+        # k != 1, and only over 2**31-1 and 10**18+3 does every other such
+        # seeded product need a slot past 8 bytes (over 2**31-1 only the
+        # k = 1 products, which no longer pack, fitted one)
+        total = 4 * sum(k != 1 for _, k, _ in MATMUL_SHAPES)
+        assert slotless and (slotless == total) == (ring.p > 2**30)
 
 
 def test_payload_primitives_stay_plain_functions(monkeypatch):
