@@ -27,9 +27,9 @@ from .factorizations import (MatrixFactorization, MfMorphism, Triangle,
 from .classify import (CriticalData, HomModules, MfClass, StrongDecomposition,
                        cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
-                       hom_subquotients, is_iso, is_zero_object,
-                       localize_class, primary_decompose,
-                       primary_test_objects, strong_decompose, strong_iso,
+                       is_iso, is_zero_object, localize_class,
+                       primary_decompose, primary_test_objects,
+                       strong_decompose, strong_factors, strong_iso,
                        suspend_class)
 from .artinian import (ARQuiver, ARSequence, CyclicDecomposition,
                        LambdaContext, ar_quiver, ar_sequence, cok_crosscheck,
@@ -60,9 +60,9 @@ __all__ = [
     "hom_differentials",
     "null_homotopy_witness", "is_null_homotopic", "cone", "cone_triangle",
     "CriticalData", "critical_decompose", "critical_ideal_generator",
-    "StrongDecomposition", "strong_decompose", "strong_iso",
-    "is_zero_object", "cone_split", "is_iso", "HomModules", "hmf_hom",
-    "hom_subquotients", "MfClass", "primary_decompose", "localize_class",
+    "StrongDecomposition", "strong_decompose", "strong_factors",
+    "strong_iso", "is_zero_object", "cone_split", "is_iso", "HomModules",
+    "hmf_hom", "MfClass", "primary_decompose", "localize_class",
     "suspend_class", "primary_test_objects", "elementary_sum",
     "LambdaContext", "delta", "mu", "stable_hom", "hom_cyclic",
     "syzygy", "quotient", "CyclicDecomposition", "decompose_module",

@@ -13,25 +13,29 @@ object already guarantees what the strong layer needs (full rank, each d_i
 dividing W, the u half of the witness); the proofs are in the docstrings
 of ``strong_decompose`` and ``StrongDecomposition.witness_holds``.
 
-Whether an object is zero is read from the same factors
-(``StrongDecomposition.is_zero``): e_d is zero exactly when gcd(d, W/d) is
-a unit, a test symmetric in d and W/d.  With U * v = D * V, u = W * v^-1
-gives V * u * U^-1 = W * D^-1 = diag(W/d_i), so the u block's invariant
-factors are the W/d_i; the suspension (W, -v, -u) swaps the blocks, so one
-decomposition of either block answers for both.  ``elementary_sum`` is the
-one builder of the diagonal objects diag(W/d), diag(d), normal forms
-included.  Hom modules in the homotopy category are computed from the
-even degree's cocycle/boundary subquotient, never from assumed closed
-forms; the odd module's invariants are read off the same Smith forms
-(``hmf_hom``).
+Every reader of the strong factors that returns no witness
+(``strong_factors``, ``is_zero_object``, ``strong_iso``,
+``primary_decompose``) goes through ``_strong_factors``, which computes
+them at most once per object and keeps them on it; ``strong_decompose``
+stores the factors of its own Smith call there too.  Rank <= 2 needs no
+Smith call: the factors are d1 = gcd of v's entries and d2 = det(v) / d1,
+the quotients of consecutive determinantal divisors.
 
-Where only the strong factors are read and no witness is returned
-(``is_zero_object``, ``strong_iso``), rank <= 2 needs no Smith call: the
-factors are d1 = gcd of v's entries and d2 = det(v) / d1, the quotients of
-consecutive determinantal divisors (``_strong_factors``).  Those readers,
-``cone_split`` and ``is_iso`` compute on raw payloads with the ring's
-``_gcd``, ``_divmod``, ``_mul`` and ``_canonical_unit``, and wrap only what
-they return.
+Whether an object is zero is read from the same factors
+(``is_zero_object``): e_d is zero exactly when gcd(d, W/d) is a unit, a
+test symmetric in d and W/d.  With U * v = D * V, u = W * v^-1 gives
+V * u * U^-1 = W * D^-1 = diag(W/d_i), so the u block's invariant factors
+are the W/d_i; the suspension (W, -v, -u) swaps the blocks, so the
+suspension's strong factors are the object's u-block factors.
+``elementary_sum`` is the one builder of the diagonal objects diag(W/d),
+diag(d), normal forms included.  Hom modules in the homotopy category are
+computed from the even degree's cocycle/boundary subquotient, never from
+assumed closed forms; the odd module's invariants are read off the same
+Smith forms (``hmf_hom``).
+
+The strong-factor readers, ``cone_split`` and ``is_iso`` compute on raw
+payloads with the ring's ``_gcd``, ``_divmod``, ``_mul`` and
+``_canonical_unit``, and wrap only what they return.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from .errors import PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              hom_differentials)
 from .matrices import RingMatrix
-from .rings import (RingElement, _not_dividing, _valuation, exact_div,
-                    factorize, normalize, same_ring)
-from .smith import ModuleInvariants, Subquotient, smith, subquotient
+from .rings import (RingElement, _valuation, exact_div, factorize,
+                    normalize)
+from .smith import ModuleInvariants, smith, subquotient
 
 __all__ = [
     "CriticalData",
@@ -52,13 +56,13 @@ __all__ = [
     "critical_ideal_generator",
     "StrongDecomposition",
     "strong_decompose",
+    "strong_factors",
     "strong_iso",
     "is_zero_object",
     "cone_split",
     "is_iso",
     "HomModules",
     "hmf_hom",
-    "hom_subquotients",
     "MfClass",
     "primary_decompose",
     "localize_class",
@@ -118,21 +122,6 @@ class StrongDecomposition(NamedTuple):
     def normal_form(self) -> MatrixFactorization:
         return elementary_sum(self.W, self.factors)
 
-    @staticmethod
-    def is_zero(W: RingElement, factors) -> bool:
-        """Whether the sum of the e_d over ``factors`` is a zero object of
-        the homotopy category: gcd(d, W/d) is a unit for every d.
-
-        ``factors`` is an object's strong factors or a cone split
-        (xi, zeta).  The test is symmetric in d and W/d, so it gives the
-        same answer on either block's factors.  A factor over another ring
-        is a ``ValidationError``; a zero one, or one that does not divide
-        W, a ``PreconditionError``.
-        """
-        factors = tuple(factors)
-        return _is_zero_sum(same_ring(W, *factors), W.payload,
-                            [d.payload for d in factors])
-
     def witness_holds(self, a: MatrixFactorization) -> bool:
         """Whether diag(E, O) conjugates the differential of ``a`` onto the
         normal form's, with E = even_transform, O = odd_transform.
@@ -162,25 +151,25 @@ def strong_decompose(a: MatrixFactorization) -> StrongDecomposition:
     A valid object needs no further check.  det u * det v = W^rho != 0, so
     v has full rank rho.  And u = W * v^-1 = W * V^-1 * D^-1 * U over the
     fraction field, so D^-1 * W = V * u * U^-1 is integral (U^-1 is, as
-    det U is a unit): every invariant factor divides W.
+    det U is a unit): every invariant factor divides W.  The factors are
+    kept on ``a`` for the readers of ``_strong_factors``.
     """
     dec = smith(a.v)
+    a._factors = tuple(d.payload for d in dec.invariant_factors)
     return StrongDecomposition(W=a.W, factors=dec.invariant_factors,
                                even_transform=dec.U, odd_transform=dec.V)
 
 
 def _is_zero_sum(ring, w, factors) -> bool:
-    """``StrongDecomposition.is_zero`` on the payloads w of W and of the
-    factors: one ``_divmod`` and one ``_gcd`` per factor, up to the first
-    that is not a unit."""
+    """Whether the sum of the e_d over the payloads d is a zero object of
+    the homotopy category: gcd(d, W/d) is a unit for every d, w the
+    payload of W.  The d are the strong factors of a valid object or the
+    split of a valid cone, so each is non-zero and divides W.  One
+    ``_divmod`` and one ``_gcd`` per factor, up to the first that is not a
+    unit."""
     gcd_, divmod_, is_unit = ring._gcd, ring._divmod, ring._is_unit
     for d in factors:
-        if not d:
-            raise PreconditionError("exact division by zero")
-        q, rem = divmod_(w, d)
-        if rem:
-            raise _not_dividing(ring, d, w)
-        if not is_unit(gcd_(d, q)):
+        if not is_unit(gcd_(d, divmod_(w, d)[0])):
             return False
     return True
 
@@ -189,26 +178,41 @@ def _strong_factors(a: MatrixFactorization) -> tuple:
     """Payloads of the strong factors d1 | ... | d_rho of a valid object,
     equal to ``smith(a.v).invariant_factors``.
 
-    For rho <= 2 they come without ``smith``: d_k = Delta_k / Delta_(k-1),
-    Delta_k the canonical gcd of the k x k minors of v (Kaplansky 1949), so
-    d1 is the gcd of v's entries and d2 the canonical det(v) / d1.  Both
-    quotients are exact and non-zero, since v is non-singular and d1
-    divides every entry.  Rank 0 has no factors; rank 3 and up call
-    ``smith``.
+    They are computed once per object: the first call keeps them in
+    ``a``'s private slot and later calls return it.  For rho <= 2 they
+    come without ``smith``: d_k = Delta_k / Delta_(k-1), Delta_k the
+    canonical gcd of the k x k minors of v (Kaplansky 1949), so d1 is the
+    gcd of v's entries and d2 the canonical det(v) / d1.  Both quotients
+    are exact and non-zero, since v is non-singular and d1 divides every
+    entry.  Rank 0 has no factors; rank 3 and up call ``smith``.
     """
-    v, rho = a.v.payloads, a.rho
+    if a._factors is not None:
+        return a._factors
+    v, rho, ring = a.v.payloads, a.rho, a.ring
     if rho > 2:
-        return tuple(d.payload for d in smith(a.v).invariant_factors)
+        factors = tuple(d.payload for d in smith(a.v).invariant_factors)
+    elif rho == 0:
+        factors = ()
+    else:
+        d1 = ring._from_int(0)
+        for x in v:
+            d1 = ring._gcd(d1, x)
+        factors = (d1,)
+        if rho == 2:
+            mul = ring._mul
+            det = ring._sub(mul(v[0], v[3]), mul(v[1], v[2]))
+            d2 = ring._divmod(det, d1)[0]
+            factors = d1, mul(ring._canonical_unit(d2), d2)
+    a._factors = factors
+    return factors
+
+
+def strong_factors(a: MatrixFactorization) -> tuple[RingElement, ...]:
+    """The strong factors d1 | ... | d_rho of an object, the invariant
+    factors of its v block: ``a`` is strongly isomorphic to the sum of the
+    e_{d_i}.  Computed at most once per object (``_strong_factors``)."""
     ring = a.ring
-    d1 = ring._from_int(0)
-    for x in v:
-        d1 = ring._gcd(d1, x)
-    if rho < 2:
-        return (d1,) if rho else ()
-    mul = ring._mul
-    det = ring._sub(mul(v[0], v[3]), mul(v[1], v[2]))
-    d2 = ring._divmod(det, d1)[0]
-    return d1, mul(ring._canonical_unit(d2), d2)
+    return tuple(RingElement(ring, d) for d in _strong_factors(a))
 
 
 def strong_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
@@ -222,8 +226,8 @@ def strong_iso(a: MatrixFactorization, b: MatrixFactorization) -> bool:
 
 
 def is_zero_object(a: MatrixFactorization) -> bool:
-    """Zero objects of the homotopy category, read from the strong factors
-    (``_strong_factors``, ``StrongDecomposition.is_zero``)."""
+    """Zero objects of the homotopy category: gcd(d, W/d) is a unit for
+    every strong factor d (``_strong_factors``)."""
     return _is_zero_sum(a.ring, a.W.payload, _strong_factors(a))
 
 
@@ -293,14 +297,6 @@ class HomModules(NamedTuple):
     odd: ModuleInvariants
 
 
-def hom_subquotients(a: MatrixFactorization,
-                     b: MatrixFactorization) -> tuple[Subquotient, Subquotient]:
-    """Presentations (generators, relations) of the even and odd hom
-    modules in the homotopy category."""
-    d_even, d_odd = hom_differentials(a, b)
-    return subquotient(d_even, d_odd), subquotient(d_odd, d_even)
-
-
 def hmf_hom(a: MatrixFactorization, b: MatrixFactorization) -> HomModules:
     """Invariant factors of the hom modules Hom(a, b) in even and odd
     degree, from one subquotient: two Smith decompositions.
@@ -316,8 +312,8 @@ def hmf_hom(a: MatrixFactorization, b: MatrixFactorization) -> HomModules:
     invariant factors and rank r_e, and coker X is the sum of the R/(d_i)
     over them plus a free part of rank (N - r_o) - r_e.  That is the even
     module's free rank, ker(d_even) having rank N - r_e and im(d_odd)
-    rank r_o.
-    ``hom_subquotients`` builds both presentations.
+    rank r_o.  The test oracle ``hom_subquotients`` builds both
+    presentations.
     """
     d_even, d_odd = hom_differentials(a, b)
     even = subquotient(d_even, d_odd)
@@ -388,7 +384,7 @@ def primary_decompose(a: MatrixFactorization,
         cd = critical_decompose(a.W)
     elif cd.W != a.W:
         raise ValidationError("critical data belongs to a different W")
-    return MfClass.from_divisors(cd, strong_decompose(a).factors)
+    return MfClass.from_divisors(cd, strong_factors(a))
 
 
 def localize_class(c: MfClass, p: RingElement) -> MfClass:

@@ -17,13 +17,13 @@ from pathlib import Path
 from random import Random
 
 from . import artinian, jsonio
-from .classify import (CriticalData, MfClass, StrongDecomposition,
-                       cone_split, critical_decompose,
+from .classify import (MfClass, cone_split, critical_decompose,
                        critical_ideal_generator, elementary_sum, hmf_hom,
-                       is_iso, primary_decompose, strong_decompose)
+                       is_iso, is_zero_object, primary_decompose,
+                       strong_factors, strong_iso)
 from .errors import ParseError, PreconditionError, ValidationError
-from .factorizations import (MatrixFactorization, cone, elementary,
-                             elementary_morphism)
+from .factorizations import (cone, elementary, elementary_morphism,
+                             suspension)
 from .matrices import RingMatrix
 from .rings import Ring, ring_from_text
 from .sampling import conjugate_factorization, random_label_multiset, \
@@ -98,37 +98,27 @@ def _cmd_snf(args) -> str:
 def _cmd_classify(args) -> str:
     a = jsonio.parse_factorization(_load_json(args.factorization),
                                    _default_ring(args))
-    sd = strong_decompose(a)
-    cls = MfClass.from_divisors(critical_decompose(a.W), sd.factors)
+    factors = strong_factors(a)
+    cls = primary_decompose(a)
     if args.format == "json":
         payload = jsonio.class_to_json(cls)
-        payload["strong_factors"] = [d.text() for d in sd.factors]
+        payload["strong_factors"] = [d.text() for d in factors]
         payload["witness_available"] = True
         payload["is_zero_object"] = cls.is_zero
         return jsonio.dumps(payload)
     return (f"W: {a.W.text()} over {a.ring.name}\n"
             f"strong factors: "
-            f"{', '.join(d.text() for d in sd.factors) or '(rank zero)'}\n"
+            f"{', '.join(d.text() for d in factors) or '(rank zero)'}\n"
             f"class: {cls}\n")
-
-
-def _iso_answers(a: MatrixFactorization, b: MatrixFactorization,
-                 cd: CriticalData) -> tuple[bool, bool]:
-    """Strict and homotopy isomorphism of two objects of cd.W, from one
-    Smith decomposition per object: the strong factors decide the first
-    (equal factors mean equal rank too) and their class the second."""
-    fa, fb = strong_decompose(a).factors, strong_decompose(b).factors
-    return fa == fb, (MfClass.from_divisors(cd, fa).labels
-                      == MfClass.from_divisors(cd, fb).labels)
 
 
 def _cmd_iso(args) -> str:
     ring = _default_ring(args)
     a = jsonio.parse_factorization(_load_json(args.a), ring)
     b = jsonio.parse_factorization(_load_json(args.b), ring)
-    if a.W != b.W:
-        raise ValidationError("objects factor different elements")
-    zmf, hmf = _iso_answers(a, b, critical_decompose(a.W))
+    zmf = strong_iso(a, b)
+    cd = critical_decompose(a.W)
+    hmf = primary_decompose(a, cd).labels == primary_decompose(b, cd).labels
     if args.format == "json":
         return jsonio.dumps({"zmf": zmf, "hmf": hmf})
     return f"strict isomorphism: {zmf}\nhomotopy isomorphism: {hmf}\n"
@@ -137,10 +127,11 @@ def _cmd_iso(args) -> str:
 def _cmd_cone(args) -> str:
     f = jsonio.parse_morphism(_load_json(args.morphism), _default_ring(args))
     c = cone(f)
-    # the u block's factors are the W/d of the v block's, and the zero test
-    # is symmetric in d and W/d: one decomposition of u gives both
-    factors = smith(c.u).invariant_factors
-    iso = StrongDecomposition.is_zero(c.W, factors)
+    # the suspension's v block is -u, so its strong factors are the cone's
+    # u-block factors, and the zero test reads the same computation
+    s = suspension(c)
+    factors = strong_factors(s)
+    iso = is_zero_object(s)
     split = None
     if f.source.is_elementary and f.target.is_elementary:
         split = cone_split(f)
@@ -229,7 +220,8 @@ def _demo_w12_section(lines: list[str]):
         cls = primary_decompose(elementary(zz.from_int(d), W), cd)
         lines.append(f"class of e_{d}: {cls}")
     e2, e6 = elementary(zz.from_int(2), W), elementary(zz.from_int(6), W)
-    zmf, hmf = _iso_answers(e2, e6, cd)
+    zmf = strong_iso(e2, e6)
+    hmf = primary_decompose(e2, cd).labels == primary_decompose(e6, cd).labels
     lines.append(f"strict iso e_2 ~ e_6: {zmf}")
     lines.append(f"homotopy iso e_2 ~ e_6: {hmf}")
     f = elementary_morphism(e2, e6, zz.one)

@@ -52,9 +52,14 @@ class MatrixFactorization:
     Only u*v = W*I is checked: over a domain R with fraction field K,
     det u * det v = W^rho != 0, so u is invertible over K, v = W*u^-1 and
     v*u = W*I follows.
+
+    An object is never mutated after ``__init__``, so the payloads of its
+    strong factors, once ``classify`` has computed them, are kept in a
+    private slot and read back by every reader of them.  An object built
+    again, even an equal one, computes its factors afresh.
     """
 
-    __slots__ = ("W", "rho", "u", "v")
+    __slots__ = ("W", "rho", "u", "v", "_factors")
 
     def __init__(self, W: RingElement, u: RingMatrix, v: RingMatrix):
         if W.is_zero:
@@ -73,6 +78,7 @@ class MatrixFactorization:
         self.rho = rho
         self.u = u
         self.v = v
+        self._factors = None
 
     @property
     def ring(self):

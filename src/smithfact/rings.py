@@ -240,9 +240,12 @@ class IntegerRing(Ring):
                 f"more digits than the int-to-str limit allows") from exc
 
     def _parse_payload(self, text):
-        try:
-            return int(text.strip())
-        except (ValueError, TypeError) as exc:
+        s = text.strip()
+        if not _DECIMAL.fullmatch(s):
+            raise ParseError(f"not an integer literal: {text!r}")
+        try:  # int() refuses literals past the int-to-str digit limit
+            return int(s)
+        except ValueError as exc:
             raise ParseError(f"not an integer literal: {text!r}") from exc
 
 
@@ -264,6 +267,9 @@ _KRONECKER_SLOTS = _kronecker_slots()
 _KRONECKER_MIN_TERMS = 20
 _BYTE_ORDER = sys.byteorder
 _MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
+# literals are ASCII decimal: int() and \d also take "1_000" and other scripts'
+# digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class GFPolynomialRing(Ring):
@@ -461,9 +467,7 @@ class GFPolynomialRing(Ring):
                 terms.append(f"x^{e}" if c == 1 else f"{c}*x^{e}")
         return "+".join(terms)
 
-    _TERM = re.compile(
-        r"^([+-]?)(\d+)?(?:(\*)?x(?:\^(\d+))?)?$"
-    )
+    _TERM = re.compile(r"([+-]?)([0-9]+)?(?:(\*)?x(?:\^([0-9]+))?)?")
 
     def _parse_payload(self, text):
         s = text.replace(" ", "")
@@ -475,7 +479,7 @@ class GFPolynomialRing(Ring):
             raise ParseError(f"bad polynomial literal: {text!r}")
         coeffs: dict[int, int] = {}
         for chunk in chunks:
-            m = self._TERM.match(chunk)
+            m = self._TERM.fullmatch(chunk)
             if not m or (m.group(2) is None and "x" not in chunk):
                 raise ParseError(f"bad polynomial term: {chunk!r}")
             sign = -1 if m.group(1) == "-" else 1
@@ -510,7 +514,7 @@ def gf_polynomial_ring(p: int) -> GFPolynomialRing:
     return ring
 
 
-_RING_TEXT = re.compile(r"^GF\((\d+)\)\[x\]$")
+_RING_TEXT = re.compile(r"GF\(([0-9]+)\)\[x\]")
 
 
 def ring_from_text(text: str) -> Ring:
@@ -518,7 +522,7 @@ def ring_from_text(text: str) -> Ring:
     s = text.strip()
     if s == "Z":
         return ZZ
-    m = _RING_TEXT.match(s)
+    m = _RING_TEXT.fullmatch(s)
     if m:
         try:
             return gf_polynomial_ring(int(m.group(1)))

@@ -18,7 +18,9 @@ the cone path as it was computed with ``RingElement`` arithmetic before
 ``smithfact.factorizations`` and ``smithfact.classify`` moved it to
 payloads: the generator scaled by r, the cone's two blocks assembled entry
 by entry, the split (xi, zeta) from gcds and exact divisions, and the zero
-test gcd(d, W/d) on the split.
+test gcd(d, W/d) on the split.  ``is_zero_sum`` is that zero test on any
+list of divisors of W, the oracle of ``is_zero_object`` on the strong
+factors.
 
 ``gf_mul`` is the schoolbook product that ``GFPolynomialRing._mul`` used
 for every size before it packed larger operands into one integer,
@@ -43,6 +45,7 @@ from smithfact.smith import SmithDecomposition
 
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds",
            "elementary_morphism", "cone_blocks", "cone_split", "is_iso",
+           "is_zero_sum",
            "gf_mul", "gf_divmod", "gf_sub", "gf_add", "euclid_gcd"]
 
 
@@ -253,10 +256,15 @@ def cone_split(f):
     return xi, zeta
 
 
+def is_zero_sum(W, factors) -> bool:
+    """Whether the sum of the e_d over ``factors`` is a zero object:
+    gcd(d, W/d) is a unit for every d."""
+    return all(gcd(d, exact_div(W, d)).is_unit for d in factors)
+
+
 def is_iso(f) -> bool:
-    """gcd(d, W/d) is a unit for both pieces d of the cone split."""
-    W = f.source.W
-    return all(gcd(d, exact_div(W, d)).is_unit for d in cone_split(f))
+    """The cone split is a zero object."""
+    return is_zero_sum(f.source.W, cone_split(f))
 
 
 _strip = GFPolynomialRing._strip

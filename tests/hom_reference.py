@@ -1,4 +1,5 @@
-"""The induced-hom invertibility probe, kept as a test oracle.
+"""The induced-hom invertibility probe and the hom-module presentations,
+kept as test oracles.
 
 A morphism f is invertible in the homotopy category exactly when
 Hom(t, f) is invertible for every primary elementary test object t
@@ -8,19 +9,32 @@ of ``smithfact.classify`` until ``is_iso`` read invertibility from the cone
 split alone; no library path needs it, so it lives here as the independent
 check that criterion 5 (``test_acceptance.py``) and the probe tests in
 ``test_classify.py`` compare ``is_iso`` against.
+
+``hom_subquotients`` builds both degrees' presentations, one subquotient
+each.  It left ``smithfact.classify`` once ``hmf_hom`` read the odd module
+off the even subquotient; it is the oracle of ``hmf_hom``.
 """
 
 from __future__ import annotations
 
-from smithfact.classify import hom_subquotients
 from smithfact.errors import ValidationError
-from smithfact.factorizations import MatrixFactorization, MfMorphism
+from smithfact.factorizations import (MatrixFactorization, MfMorphism,
+                                      hom_differentials)
 from smithfact.matrices import RingMatrix, kron
 from smithfact.rings import RingElement
 from smithfact.smith import (ModuleInvariants, Subquotient,
-                             _kernel_coordinates, smith)
+                             _kernel_coordinates, smith, subquotient)
 
-__all__ = ["postcompose_matrix", "induced_hom_iso", "is_iso_by_induced_homs"]
+__all__ = ["hom_subquotients", "postcompose_matrix", "induced_hom_iso",
+           "is_iso_by_induced_homs"]
+
+
+def hom_subquotients(a: MatrixFactorization,
+                     b: MatrixFactorization) -> tuple[Subquotient, Subquotient]:
+    """Presentations (generators, relations) of the even and odd hom
+    modules in the homotopy category."""
+    d_even, d_odd = hom_differentials(a, b)
+    return subquotient(d_even, d_odd), subquotient(d_odd, d_even)
 
 
 def postcompose_matrix(f: MfMorphism, t: MatrixFactorization) -> RingMatrix:

@@ -13,7 +13,6 @@ from smithfact import (
     MfMorphism,
     PreconditionError,
     RingMatrix,
-    StrongDecomposition,
     ValidationError,
     cone,
     cone_split,
@@ -37,17 +36,16 @@ from smithfact import (
     random_unimodular,
     smith,
     strong_decompose,
+    strong_factors,
     strong_iso,
     suspend_class,
     suspension,
 )
-from smithfact.classify import (_elementary_scalar, _strong_factors,
-                                hom_subquotients)
-from smithfact.cli import _iso_answers
+from smithfact.classify import _elementary_scalar
 from smithfact.smith import _kernel_coordinates
 from conftest import GF3, GF5, Z, z
-from hom_reference import (induced_hom_iso, is_iso_by_induced_homs,
-                           postcompose_matrix)
+from hom_reference import (hom_subquotients, induced_hom_iso,
+                           is_iso_by_induced_homs, postcompose_matrix)
 
 
 def e(v, W):
@@ -225,12 +223,13 @@ def test_is_zero_object():
 
 
 def test_strong_is_zero_reads_factors():
-    is_zero = StrongDecomposition.is_zero
+    def is_zero(W, factors):
+        return is_zero_object(elementary_sum(W, factors))
+
     assert is_zero(z(12), ()) and is_zero(z(12), (z(1), z(12), z(4)))
     assert not is_zero(z(12), (z(1), z(2)))
-    sd = strong_decompose(direct_sum(e(3, 36), e(4, 36)))
-    assert sd.is_zero(sd.W, sd.factors) == is_zero_object(
-        direct_sum(e(3, 36), e(4, 36)))
+    a = direct_sum(e(3, 36), e(4, 36))
+    assert is_zero_object(a) == ref.is_zero_sum(z(36), strong_factors(a))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +359,9 @@ def test_closed_form_strong_factors_match_smith_on_cones(W):
         c = cone(elementary_morphism(src, dst, r))
         for a in (dst, c):  # rank 1 and rank 2
             factors = smith(a.v).invariant_factors
-            assert _strong_factors(a) == tuple(d.payload for d in factors)
+            assert strong_factors(a) == factors
             zero = is_zero_object(a)
-            assert zero == StrongDecomposition.is_zero(W, factors)
+            assert zero == ref.is_zero_sum(W, factors)
             outcomes.add((a.rho, "zero", zero))
         if prev is not None:
             same = strong_iso(prev[0], c)
@@ -384,9 +383,8 @@ def test_closed_form_strong_factors_on_gf5_twins():
             base = elementary_sum(W, [rng.choice(divs) for _ in range(rho)])
             twin = conjugate_factorization(base, rng)
             factors = smith(twin.v).invariant_factors
-            assert _strong_factors(twin) == tuple(d.payload for d in factors)
-            assert is_zero_object(twin) == StrongDecomposition.is_zero(
-                W, factors)
+            assert strong_factors(twin) == factors
+            assert is_zero_object(twin) == ref.is_zero_sum(W, factors)
             assert strong_iso(base, twin)
             twins.append((twin, factors))
     outcomes = set()
@@ -414,11 +412,71 @@ def test_rank_three_strong_factors_call_smith(monkeypatch):
                 rng)
             calls.clear()
             zero, same = is_zero_object(a), strong_iso(a, a)
-            assert calls == ([(3, 3)] * 3 if rho == 3 else [])
+            # the factors are kept on the object: one Smith call at rank 3
+            assert calls == ([(3, 3)] if rho == 3 else [])
             factors = smith(a.v).invariant_factors
-            assert _strong_factors(a) == tuple(d.payload for d in factors)
-            assert zero == StrongDecomposition.is_zero(W, factors)
+            assert strong_factors(a) == factors
+            assert zero == ref.is_zero_sum(W, factors)
             assert same
+
+
+@pytest.mark.parametrize("W", CONE_PATH_WS, ids=str)
+def test_strong_factors_are_computed_once_per_object(W, monkeypatch):
+    ring = W.ring
+    cd = critical_decompose(W)
+    smith_calls, gcd_calls = [], []
+    real_gcd = type(ring)._gcd
+
+    def counting_smith(m):
+        smith_calls.append(m.shape)
+        return smith(m)
+
+    def counting_gcd(self, a, b):
+        gcd_calls.append((a, b))
+        return real_gcd(self, a, b)
+
+    monkeypatch.setattr(sys.modules["smithfact.classify"], "smith",
+                        counting_smith)
+    monkeypatch.setattr(type(ring), "_gcd", counting_gcd)
+    rng = random.Random(f"once per object {W}")
+    divs = _divisor_grid(W)
+
+    def first_read(a, factors):
+        # rank 3 makes one Smith call; rank <= 2 one gcd per entry of v
+        smith_calls.clear()
+        gcd_calls.clear()
+        assert strong_factors(a) == factors
+        assert len(smith_calls) == (a.rho == 3)
+        if a.rho < 3:
+            assert len(gcd_calls) == a.rho * a.rho
+
+    for rho in (0, 1, 2, 3):
+        a = conjugate_factorization(
+            elementary_sum(W, [rng.choice(divs) for _ in range(rho)]), rng)
+        factors = smith(a.v).invariant_factors
+        want_zero = ref.is_zero_sum(W, factors)
+        want_class = MfClass.from_divisors(cd, factors)
+        first_read(a, factors)
+        smith_calls.clear()
+        gcd_calls.clear()
+        assert strong_factors(a) == factors
+        assert strong_iso(a, a)
+        assert primary_decompose(a, cd) == want_class
+        # the factors are read back: no Smith call, no gcd
+        assert smith_calls == [] and gcd_calls == []
+        assert is_zero_object(a) == want_zero
+        # only the zero test's gcd(d, W/d) ran, at most one per factor
+        assert smith_calls == [] and len(gcd_calls) <= rho
+        # strong_decompose keeps its factors for the readers
+        b = MatrixFactorization(a.W, a.u, a.v)
+        assert b == a
+        assert strong_decompose(b).factors == factors
+        smith_calls.clear()
+        gcd_calls.clear()
+        assert primary_decompose(b, cd) == want_class
+        assert smith_calls == [] and gcd_calls == []
+        # an equal object built anew computes its factors afresh
+        first_read(MatrixFactorization(a.W, a.u, a.v), factors)
 
 
 @pytest.mark.parametrize("W", CONE_PATH_WS, ids=str)
@@ -567,12 +625,13 @@ def test_hmf_hom_odd_module_on_chain_pairs(W, monkeypatch):
     ring = W.ring
     rng = random.Random(f"chain pairs {W}")
     pairs = list(_chain_pairs(ring, rng, 40))
-    module = sys.modules["smithfact.classify"]
+    modules = sys.modules["smithfact.classify"], sys.modules["hom_reference"]
     a = elementary(W, W)
     free = differ = 0
     for pair in pairs:
-        monkeypatch.setattr(module, "hom_differentials",
-                            lambda *_, pair=pair: pair)
+        for module in modules:
+            monkeypatch.setattr(module, "hom_differentials",
+                                lambda *_, pair=pair: pair)
         h = hmf_hom(a, a)
         assert h == tuple(s.invariants for s in hom_subquotients(a, a))
         free += h.odd.free_rank > 0
@@ -638,7 +697,8 @@ def test_from_labels_validation():
 
 
 def _hmf_iso(a, b):
-    return _iso_answers(a, b, critical_decompose(a.W))[1]
+    cd = critical_decompose(a.W)
+    return primary_decompose(a, cd).labels == primary_decompose(b, cd).labels
 
 
 def test_hmf_iso_examples():

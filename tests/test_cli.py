@@ -130,6 +130,15 @@ def test_json_decoding_failure_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    # int() alone read this as W = 360 and d = 12
+    doc = {"W": "\u0663\u0666\u0660", "ring": "Z", "elementary": "1_2"}
+    code, out, err = run(capsys, "classify", json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_snf_output_past_digit_limit_exit_4(capsys):
     # 3000-digit entries parse, but the second invariant factor, their
     # product, has 6000 digits and cannot be printed

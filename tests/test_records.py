@@ -14,12 +14,13 @@ import pytest
 from smithfact import (RingMatrix, Triangle, ValidationError, ar_quiver,
                        ar_sequence, cone_triangle, critical_decompose,
                        decompose_module, elementary, factorize, gcd_bezout,
-                       hom_subquotients, identity_morphism,
-                       image_cokernel_invariants, normalize,
-                       primary_decompose, smith, strong_decompose)
+                       identity_morphism, image_cokernel_invariants,
+                       normalize, primary_decompose, smith,
+                       strong_decompose)
 from smithfact.artinian import LambdaContext
 from smithfact.smith import determinantal_invariants
 from conftest import GF3, Z, z
+from hom_reference import hom_subquotients
 
 ROOT = Path(__file__).resolve().parent.parent
 

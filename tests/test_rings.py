@@ -71,6 +71,27 @@ def test_gf_parse_refuses_exponents_past_the_degree_bound():
             GF3.parse(text)
 
 
+# int() and \d also take underscores and the decimal digits of every
+# script; literals take ASCII decimal digits only
+@pytest.mark.parametrize("parse, text", [
+    (Z.parse, "1_000"),
+    (Z.parse, "\u0663\u0666\u0660"),  # Arabic-Indic 360
+    (Z.parse, "\uff11\uff12"),  # fullwidth 12
+    (GF3.parse, "x^\u0663"),
+    (GF3.parse, "x+1\n"),
+    (ring_from_text, "GF(\u0663)[x]"),
+], ids=["underscore", "arabic_indic", "fullwidth", "gf_exponent",
+        "gf_trailing_newline", "ring_modulus"])
+def test_literals_take_only_ascii_decimal_digits(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_integer_literals_keep_sign_and_surrounding_space():
+    assert Z.parse(" -12 ") == Z.from_int(-12)
+    assert Z.parse("+7") == Z.from_int(7)
+
+
 def test_gf_zero_has_no_trailing_junk():
     e = GF3.parse("x") - GF3.parse("x")
     assert e.is_zero
