@@ -25,7 +25,7 @@ from .errors import ParseError, PreconditionError, ValidationError
 from .factorizations import (cone, elementary, elementary_morphism,
                              suspension)
 from .matrices import RingMatrix
-from .rings import Ring, ring_from_text
+from .rings import _DECIMAL, Ring, ring_from_text
 from .sampling import conjugate_factorization, random_label_multiset, \
     random_matrix
 from .smith import smith
@@ -312,6 +312,19 @@ def _cmd_demo(args) -> str:
 # -- wiring -------------------------------------------------------------------
 
 
+def _decimal(text: str) -> int:
+    """argparse type of the integer arguments: ASCII decimal digits only, as
+    in ring literals, so ``5`` passes and ``1_0``, ``٥`` or ``５`` is a usage
+    error (exit 2) with argparse's own wording."""
+    s = text.strip()
+    if _DECIMAL.fullmatch(s):
+        try:  # int() refuses literals past the int-to-str digit limit
+            return int(s)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smithfact",
@@ -360,14 +373,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quiver", help="Auslander-Reiten quiver as DOT")
     sp.add_argument("p", help="prime element text")
-    sp.add_argument("n", type=int, help="power of the prime, n >= 2")
+    sp.add_argument("n", type=_decimal, help="power of the prime, n >= 2")
     sp.add_argument("--stable", action="store_true",
                     help="stable quiver (projective vertex removed)")
     common(sp, formats=("dot", "json"), ring_falls_back=True)
     sp.set_defaults(handler=_cmd_quiver)
 
     sp = sub.add_parser("demo", help="guided walkthrough with self-tests")
-    sp.add_argument("--seed", type=int, default=0,
+    sp.add_argument("--seed", type=_decimal, default=0,
                     help="seed for the sampling self-test")
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_demo, format="text")

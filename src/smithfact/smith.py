@@ -30,6 +30,14 @@ zero entries, and a unit pivot, which divides everything, skips the scan.
 The pivot column is re-checked only after a general column block, the one
 step that can refill it.
 
+A 2x2 input runs the same steps unrolled on scalar locals
+(``_smith_2x2``), without the loop's row lists and generator ``min``.
+The rank-2 cone of each morphism e_v1 -> e_v2 of elementary
+factorizations is a 2x2 Smith call, most of the classification traffic
+(1,544 of 1,672 calls on an ``mf_classify`` pass), and the loop's set-up
+was most of their cost.  The loop (``_smith_loop``) serves every other
+shape and is the 2x2 path's test oracle.
+
 Module invariants come from the same reduction: U * A = D * V with U, V
 invertible makes coker A isomorphic to coker D, the sum of the R/(d_i)
 plus R^(rows - rank) (``image_cokernel_invariants``).  ker(outer)/im(inner)
@@ -178,7 +186,18 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     plain elimination [[1, 0], [-t, 1]] when u = 1.  Only a pair it does
     not divide takes a certificate, from ``_certificate``.  A unit pivot
     ends the pass without the divisibility scan.
+
+    A 2x2 input takes ``_smith_2x2``, the same steps unrolled; every other
+    shape takes the loop, ``_smith_loop``.
     """
+    if a.rows == 2 and a.cols == 2:
+        return _smith_2x2(a)
+    return _smith_loop(a)
+
+
+def _smith_loop(a: RingMatrix) -> SmithDecomposition:
+    """The reduction of ``smith`` for any shape, and the oracle of
+    ``_smith_2x2``."""
     ring = a.ring
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
     sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
@@ -301,6 +320,121 @@ def smith(a: RingMatrix) -> SmithDecomposition:
         invariant_factors=tuple([RingElement(ring, B[i][i])
                                  for i in range(k)]),
         v_inv=RingMatrix(ring, n, n, flat(Vi)),
+    )
+
+
+def _smith_2x2(a: RingMatrix) -> SmithDecomposition:
+    """``_smith_loop`` on a 2x2 input, on scalar locals: B = [[b00, b01],
+    [b10, b11]], U, V and v_inv (w).  The same pivot, blocks, certificate
+    requests, merge and normalisation run in the same order, so U, V, v_inv
+    and the chain are the loop's.  Entries the loop computes as zero by
+    construction are set, not computed: the cleared b10 and b01, and the
+    products with b10 in the column pass, which runs just after the row
+    pass has cleared it."""
+    ring = a.ring
+    add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
+    canonical_unit = ring._canonical_unit
+    zero, one = ring._from_int(0), ring._from_int(1)
+    u00 = u11 = v00 = v11 = w00 = w11 = one
+    u01 = u10 = v01 = v10 = w01 = w10 = zero
+    # pivot: smallest canonical nonzero entry, row-major
+    sort_key, best, at = ring._sort_key, None, -1
+    for i, e in enumerate(a.payloads):
+        if e:
+            key = sort_key(e)
+            if best is None or key < best:
+                best, at = key, i
+    b00, b01, b10, b11 = a.payloads
+    if at < 0:
+        chain = ()
+    else:
+        if at >= 2:  # swap the rows of B and U
+            b00, b01, b10, b11 = b10, b11, b00, b01
+            u00, u01, u10, u11 = zero, one, one, zero
+        if at & 1:  # swap the columns of B and v_inv, the rows of V
+            b00, b01, b10, b11 = b01, b00, b11, b10
+            v00, v01, v10, v11 = w00, w01, w10, w11 = zero, one, one, zero
+        while True:
+            refilled = False
+            if b10:  # rows (0, 1)
+                q, r = divmod_(b10, b00)
+                if not r and (u := canonical_unit(b00)) == one:
+                    b10 = zero  # plain: only row 1 changes
+                    if b01:
+                        b11 = sub(b11, mul(q, b01))
+                    if u00:
+                        u10 = sub(u10, mul(q, u00))
+                    if u01:
+                        u11 = sub(u11, mul(q, u01))
+                else:
+                    if r:
+                        x, y, s, t = _certificate(ring, b00, b10)
+                    else:
+                        s = ring._unit_inv(u)
+                        x, y, t = u, zero, mul(q, s)
+                    b00, b10 = add(mul(x, b00), mul(y, b10)), zero
+                    if b01 or b11:
+                        b01, b11 = (add(mul(x, b01), mul(y, b11)),
+                                    sub(mul(s, b11), mul(t, b01)))
+                    if u00 or u10:
+                        u00, u10 = (add(mul(x, u00), mul(y, u10)),
+                                    sub(mul(s, u10), mul(t, u00)))
+                    if u01 or u11:
+                        u01, u11 = (add(mul(x, u01), mul(y, u11)),
+                                    sub(mul(s, u11), mul(t, u01)))
+            if b01:  # columns (0, 1); b10 is zero here
+                q, r = divmod_(b01, b00)
+                if not r and (u := canonical_unit(b00)) == one:
+                    b01 = zero  # plain: column 1 and row 0 of V
+                    if w00:
+                        w01 = sub(w01, mul(q, w00))
+                    if w10:
+                        w11 = sub(w11, mul(q, w10))
+                    if v10:
+                        v00 = add(v00, mul(q, v10))
+                    if v11:
+                        v01 = add(v01, mul(q, v11))
+                else:
+                    if r:
+                        x, y, s, t = _certificate(ring, b00, b01)
+                    else:
+                        s = ring._unit_inv(u)
+                        x, y, t = u, zero, mul(q, s)
+                    refilled = True
+                    b00, b01 = add(mul(x, b00), mul(y, b01)), zero
+                    if b11:
+                        b10, b11 = mul(y, b11), mul(s, b11)
+                    if w00 or w01:
+                        w00, w01 = (add(mul(x, w00), mul(y, w01)),
+                                    sub(mul(s, w01), mul(t, w00)))
+                    if w10 or w11:
+                        w10, w11 = (add(mul(x, w10), mul(y, w11)),
+                                    sub(mul(s, w11), mul(t, w10)))
+                    if v00 or v10:
+                        v00, v10 = (add(mul(s, v00), mul(t, v10)),
+                                    sub(mul(x, v10), mul(y, v00)))
+                    if v01 or v11:
+                        v01, v11 = (add(mul(s, v01), mul(t, v11)),
+                                    sub(mul(x, v11), mul(y, v01)))
+            if refilled and b10:
+                continue
+            if (ring._is_unit(b00) or not b11
+                    or not divmod_(b11, b00)[1]):
+                break
+            # row 0 += row 1, which b00 does not divide: b10 = b01 = 0
+            b01 = b11
+            u00, u01 = add(u00, u10), add(u01, u11)
+        if (u := canonical_unit(b00)) != one:
+            b00, u00, u01 = mul(u, b00), mul(u, u00), mul(u, u01)
+        if b11 and (u := canonical_unit(b11)) != one:
+            b11, u10, u11 = mul(u, b11), mul(u, u10), mul(u, u11)
+        chain = ((RingElement(ring, b00), RingElement(ring, b11)) if b11
+                 else (RingElement(ring, b00),))
+    return SmithDecomposition(
+        U=RingMatrix(ring, 2, 2, (u00, u01, u10, u11)),
+        V=RingMatrix(ring, 2, 2, (v00, v01, v10, v11)),
+        invariant_factors=chain,
+        v_inv=RingMatrix(ring, 2, 2, (w00, w01, w10, w11)),
     )
 
 

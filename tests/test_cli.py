@@ -415,6 +415,20 @@ def test_gf_exponent_past_degree_bound_exit_2(capsys, command):
     assert "degree bound 100000" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["quiver", "2", "\u0665"],
+                                  ["quiver", "2", "1_0"],
+                                  ["quiver", "2", "\uff15"],
+                                  ["demo", "--seed", "\u0663"]],
+                         ids=["arabic-indic", "underscore", "fullwidth",
+                              "demo-seed"])
+def test_integer_arguments_take_ascii_digits_only(capsys, argv):
+    # int() reads these as 5, 10, 5 and 3
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: smithfact ")
+    assert err.endswith(f"invalid int value: {argv[-1]!r}\n")
+
+
 def test_quiver_large_prime(capsys):
     code, out, err, seconds = timed_run(capsys, "quiver",
                                         "1000000000000000003", "2")

@@ -10,9 +10,10 @@ import types
 import pytest
 
 import element_reference as ref
-from smithfact import (PreconditionError, RingElement, RingMatrix,
-                       elementary_sum, hom_differentials, kron, normalize,
-                       random_element, random_matrix, smith)
+from smithfact import (PreconditionError, RingElement, RingMatrix, cone,
+                       elementary, elementary_morphism, elementary_sum,
+                       hom_differentials, kron, normalize, random_element,
+                       random_matrix, smith)
 from smithfact import rings
 from smithfact.rings import (BezoutCertificate, GFPolynomialRing,
                              IntegerRing, Ring, gf_polynomial_ring)
@@ -91,6 +92,84 @@ def test_smith_matches_element_reference(ring, monkeypatch):
     assert kernel_calls
 
 
+def loop_refused(monkeypatch):
+    """Make the general Smith loop raise, so that a 2x2 input passes only
+    through ``_smith_2x2``; returns the loop, the oracle of that path."""
+    module = sys.modules["smithfact.smith"]
+    loop = module._smith_loop
+
+    def refuse(a):
+        raise AssertionError(f"{a.rows}x{a.cols} smith took the loop")
+
+    monkeypatch.setattr(module, "_smith_loop", refuse)
+    return loop
+
+
+def assert_2x2_path_matches_loop(inputs, monkeypatch):
+    """Equal U, V, v_inv and chain, and the same gcd_bezout requests in the
+    same order, from ``smith`` and the loop on each 2x2 input."""
+    loop = loop_refused(monkeypatch)
+    module = sys.modules["smithfact.smith"]
+    real, asked, requested = module.gcd_bezout, [], 0
+
+    def recording(a, b):
+        asked.append((a.payload, b.payload))
+        return real(a, b)
+
+    monkeypatch.setattr(module, "gcd_bezout", recording)
+    for a in inputs:
+        got = smith(a)
+        n = len(asked)
+        want = loop(a)
+        assert (got.U, got.V, got.v_inv, got.invariant_factors) == \
+            (want.U, want.V, want.v_inv, want.invariant_factors), a
+        assert asked[:n] == asked[n:], a
+        requested += n
+        asked.clear()
+    assert requested
+
+
+def test_smith_2x2_path_matches_the_loop_over_z(monkeypatch):
+    # every Z matrix with entries in -6..6
+    inputs = (RingMatrix(Z, 2, 2, e)
+              for e in itertools.product(range(-6, 7), repeat=4))
+    assert_2x2_path_matches_loop(inputs, monkeypatch)
+
+
+@pytest.mark.parametrize("ring", [GF2, GF3, GF5], ids=lambda r: r.name)
+def test_smith_2x2_path_matches_the_loop_over_gf(ring, monkeypatch):
+    # entries of degree <= 1, a third of them zero
+    rng = random.Random(61)
+    inputs = (random_matrix(ring, rng, 2, 2, max_degree=1)
+              for _ in range(5000))
+    assert_2x2_path_matches_loop(inputs, monkeypatch)
+
+
+def cone_blocks(W, divisors, rng):
+    """The u block of the cone of r times each generator e_v1 -> e_v2,
+    for r = 0, 1 and a seeded residue."""
+    for v1, v2 in itertools.product(divisors, repeat=2):
+        source, target = elementary(v1, W), elementary(v2, W)
+        seeded = (Z.from_int(rng.randrange(W.payload)) if W.ring is Z else
+                  random_element(W.ring, rng, max_degree=len(W.payload) - 2))
+        for r in (W.ring.zero, W.ring.one, seeded):
+            yield cone(elementary_morphism(source, target, r)).u
+
+
+def test_smith_2x2_path_matches_the_loop_on_cone_blocks(monkeypatch):
+    # the potentials of the mf_classify benchmark
+    rng = random.Random(67)
+    blocks = [cone_blocks(Z.from_int(w), [Z.from_int(d)
+                                          for d in range(1, w + 1)
+                                          if w % d == 0], rng)
+              for w in (12, 32, 360)]
+    x, x1 = GF3.parse("x"), GF3.parse("x + 1")
+    blocks.append(cone_blocks(x ** 3 * x1 ** 2, [x ** i * x1 ** j
+                                                 for i in range(4)
+                                                 for j in range(3)], rng))
+    assert_2x2_path_matches_loop(itertools.chain(*blocks), monkeypatch)
+
+
 @pytest.mark.parametrize("ring", SWEEP_RINGS, ids=lambda r: r.name)
 def test_matmul_det_kron_match_element_reference(ring):
     rng = random.Random(43)
@@ -128,6 +207,7 @@ def test_kernels_do_no_element_arithmetic(ring, monkeypatch):
 
 def test_smith_refuses_an_inexact_bezout_quotient(monkeypatch):
     # a certificate whose g does not divide a must fail the s = a/g check
+    loop_refused(monkeypatch)
     module = sys.modules["smithfact.smith"]
     real = module.gcd_bezout
 
@@ -204,6 +284,7 @@ def test_smith_refuses_a_certificate_with_x_a_plus_y_b_not_g(
         ring, monkeypatch):
     # (g, x + 1, y) passes both quotient checks, but x*a + y*b = g + a:
     # its block has determinant 1 + a/g
+    loop_refused(monkeypatch)
     module = sys.modules["smithfact.smith"]
     real = module.gcd_bezout
 
@@ -223,6 +304,7 @@ def test_smith_refuses_a_certificate_with_x_a_plus_y_b_not_g(
 def test_smith_requests_certificates_only_for_non_divisible_pairs(
         monkeypatch):
     # the pivot 1 divides every entry; the pivot 3 divides neither 5 nor 7
+    loop_refused(monkeypatch)
     calls = []
     counted(monkeypatch, sys.modules["smithfact.smith"], calls)
     smith(RingMatrix.from_rows(Z, [[1, 2], [3, 4]]))
