@@ -46,8 +46,8 @@ from .errors import PreconditionError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              hom_differentials)
 from .matrices import RingMatrix
-from .rings import (RingElement, _valuation, exact_div, factorize,
-                    normalize)
+from .rings import (RingElement, _not_dividing, _valuation, exact_div,
+                    factorize, normalize, same_ring)
 from .smith import ModuleInvariants, smith, subquotient
 
 __all__ = [
@@ -351,15 +351,21 @@ class MfClass(NamedTuple):
 
         Each e_d contributes (p, i) for every critical prime p with
         1 <= i <= n_p - 1, i the multiplicity of p in d; everything else
-        about d is a zero object and contributes nothing.  Every d divides
-        W, so no multiplicity exceeds n_p: each is read by ``_valuation``,
-        capped at n_p, on d's payload with the primes found so far divided
-        out, with no further factoring.
+        about d is a zero object and contributes nothing.  Every d must
+        divide W: one over another ring is refused (``ValidationError``), as
+        is zero or a non-divisor (``PreconditionError``), as in
+        ``elementary_sum``.  So no multiplicity exceeds n_p: each is read by
+        ``_valuation``, capped at n_p, on d's payload with the primes found
+        so far divided out, with no further factoring.
         """
-        ring = cd.W.ring
+        W = cd.W
+        ring, w = W.ring, W.payload
         labels = []
         for d in divisors:
+            same_ring(W, d)
             rest = d.payload
+            if not rest or ring._divmod(w, rest)[1]:
+                raise _not_dividing(ring, rest, w)
             for p, n in cd.critical:
                 e, rest = _valuation(ring, p.payload, rest, n)
                 if 1 <= e <= n - 1:

@@ -15,12 +15,11 @@ or ints and check each element's ring once, and ``entries``, ``entry``,
 every ring check here is an identity test.
 
 ``@`` checks the shapes and hands the payloads to the ring's ``_matmul``,
-a payload primitive like ``_mul``: over Z each entry is one
-``sum(map(operator.mul, row, col))``, over GF(p)[x] each entry is one
-packed big-integer dot product (see ``rings``).  ``det`` stays generic,
-Bareiss elimination on the ring's ``_sub``/``_mul``/``_divmod``: over
-GF(p)[x] its cost is the exact polynomial division of each step, which a
-packed product does not remove.
+a payload primitive like ``_mul``; how GF(p)[x] packs its entries into big
+integers is written once, in the ``rings`` module docstring.  ``det``
+stays generic, Bareiss elimination on the ring's ``_sub``/``_mul``/
+``_divmod``: over GF(p)[x] its cost is the exact polynomial division of
+each step, which a packed product does not remove.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ GF(p)[x] products use Kronecker substitution above a small size crossover:
 each operand is packed into one integer, a fixed-width slot per
 coefficient, so one built-in big-integer product does the work of the
 double loop.  Small operands, and primes whose slots would need more than
-8 bytes, keep the schoolbook loop.
+8 bytes (e.g. GF(10**18+3)), keep the schoolbook loop.
 
 Matrix products are a payload primitive too, ``_matmul``: the base class
 keeps the schoolbook loop over ``_add`` and ``_mul``, Z sums built-in
@@ -33,7 +33,9 @@ holds k*min(la, lb) terms of at most (p-1)**2 (k the inner dimension, la
 and lb the longest entries).  Products with an empty or all-zero operand,
 and slots past 8 bytes, fall back to the loop.  A product of inner
 dimension k = 1 has nothing to sum: each entry is one ``_mul``, with
-nothing packed.  This rule comes from the product's shape, not its size.
+nothing packed; these are most of the products of the 1x1 checks in
+``MatrixFactorization`` and ``MfMorphism``.  This rule comes from the
+product's shape, not its size.
 
 Z's gcd is ``math.gcd``; the GF(p)[x] gcd is Euclid on remainders alone,
 with no quotient built.  ``Ring`` itself has no gcd loop to inherit.
@@ -79,50 +81,22 @@ class Ring:
 
     Subclasses implement arithmetic on raw payloads; user code works with
     :class:`RingElement` values obtained from ``element``, ``from_int`` or
-    ``parse``.
+    ``parse``.  The payload primitives each subclass defines:
+
+    - ``_add(a, b)``, ``_sub(a, b)``, ``_neg(a)``, ``_mul(a, b)`` and
+      ``_divmod(a, b)``;
+    - ``_is_unit(a)`` and ``_unit_inv(a)``;
+    - ``_canonical_unit(a)``: the unit u with u*a the canonical associate
+      of a, and 1 for 0;
+    - ``_sort_key(a)``: the key of the canonical total order used for
+      pivoting and sorting;
+    - ``_gcd(a, b)``: the canonical gcd, with gcd(0, 0) = 0;
+    - ``_from_int(k)``, ``_format(a)`` and ``_parse_payload(text)``.
+
+    ``_xgcd`` and ``_matmul`` are shared, built on those.
     """
 
     name = "?"
-
-    # -- payload primitives, provided by subclasses --------------------------
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _divmod(self, a, b):
-        raise NotImplementedError
-
-    def _is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def _unit_inv(self, a):
-        raise NotImplementedError
-
-    def _canonical_unit(self, a):
-        """Unit u such that u*a is the canonical associate of a (u=1 for 0)."""
-        raise NotImplementedError
-
-    def _sort_key(self, a):
-        """Key for the canonical total order used for pivoting and sorting."""
-        raise NotImplementedError
-
-    def _from_int(self, k: int):
-        raise NotImplementedError
-
-    def _format(self, a) -> str:
-        raise NotImplementedError
-
-    def _parse_payload(self, text: str):
-        raise NotImplementedError
 
     # -- shared machinery -----------------------------------------------------
 
@@ -173,10 +147,6 @@ class Ring:
                     acc = add(acc, mul(p, q))
                 out.append(acc)
         return out
-
-    def _gcd(self, a, b):
-        """The canonical gcd of two payloads; gcd(0, 0) is zero."""
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

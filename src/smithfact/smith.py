@@ -12,23 +12,9 @@ determinant; only when rank < rows, where D has zero rows and A * v_inv
 yields no such inverse, does it compute det U by Bareiss elimination.  The
 reduction works on the matrices' raw payloads, in one loop with no
 per-call closures; ``RingElement`` values appear only in the Bezout
-certificates it requests and in the invariant factors it returns.
-
-Each Bezout block starts with one division of b by the pivot a.  When a
-divides b no certificate is requested: with u the canonical unit of a the
-block is (x, y, s, t) = (u, 0, 1/u, (b/a)/u), and when u = 1 it is a plain
-elimination [[1, 0], [-t, 1]] that changes only the eliminated row or
-column (and one row of V), by ``q - t*p`` with the zero entries p
-skipped.  Only a pair with a not dividing b takes a certificate from
-``gcd_bezout``, requested and checked in one helper (``_certificate``),
-and applied as the general two-row combination, skipping
-positions where both entries are zero, once both quotients are exact and
-its determinant x*s + y*t is 1: a certificate with x*a + y*b != g raises
-``PreconditionError`` instead of yielding a V that is not the inverse of
-v_inv.  The pivot search and the divisibility scan after each pass skip
-zero entries, and a unit pivot, which divides everything, skips the scan.
-The pivot column is re-checked only after a general column block, the one
-step that can refill it.
+certificates it requests and in the invariant factors it returns.  When a
+block requests a certificate, and how each block is applied, is written
+once, in :func:`smith`'s docstring.
 
 A 2x2 input runs the same steps unrolled on scalar locals
 (``_smith_2x2``), without the loop's row lists and generator ``min``.
@@ -181,11 +167,23 @@ def smith(a: RingMatrix) -> SmithDecomposition:
     bound to locals, in one loop with no per-call closures, and U, V and
     v_inv are built from the payload rows.  The block of a pair (a, b),
     a the pivot, is [[x, y], [-t, s]] with determinant x*s + y*t = 1,
-    s = a/g, t = b/g and g the canonical gcd.  When a divides b, g = u*a
-    for u = canonical_unit(a) and the block is (u, 0, 1/u, (b/a)/u): a
-    plain elimination [[1, 0], [-t, 1]] when u = 1.  Only a pair it does
-    not divide takes a certificate, from ``_certificate``.  A unit pivot
-    ends the pass without the divisibility scan.
+    s = a/g, t = b/g and g the canonical gcd.  Each block starts with one
+    division of b by a.  When a divides b no certificate is requested:
+    g = u*a for u = canonical_unit(a) and the block is
+    (u, 0, 1/u, (b/a)/u), and when u = 1 it is a plain elimination
+    [[1, 0], [-t, 1]] that changes only the eliminated row or column (and
+    one row of V), by ``q - t*p`` with the zero entries p skipped.  Only a
+    pair with a not dividing b takes a certificate from ``gcd_bezout``,
+    requested and checked in one helper (``_certificate``), and applied as
+    the general two-row combination, skipping positions where both entries
+    are zero (most of a hom differential), once both quotients are exact
+    and its determinant x*s + y*t is 1: a certificate with x*a + y*b != g
+    raises ``PreconditionError`` instead of yielding a V that is not the
+    inverse of v_inv.  The pivot search and the divisibility scan after
+    each pass skip zero entries, and a unit pivot, which divides
+    everything, ends the pass without the scan.  The pivot column is
+    re-checked only after a general column block, the one step that can
+    refill it.
 
     A 2x2 input takes ``_smith_2x2``, the same steps unrolled; every other
     shape takes the loop, ``_smith_loop``.

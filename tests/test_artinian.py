@@ -130,6 +130,8 @@ def test_syzygy():
     for i in range(1, 5):
         assert syzygy(ctx, syzygy(ctx, i)) == i
     assert syzygy(ctx, 5) == 0
+    with pytest.raises(PreconditionError, match="outside 1..5"):
+        syzygy(ctx, 0)
 
 
 def test_quotient():
@@ -202,6 +204,23 @@ def test_cyclic_decomposition_from_counts():
     dec = CyclicDecomposition.from_counts(ctx, {2: 1, 1: 3})
     assert dec.mult == ((1, 3), (2, 1))
     assert sum(i * c for i, c in dec.mult) == 3 * 1 + 1 * 2
+
+
+@pytest.mark.parametrize("counts, error", [
+    ({1: -1}, ValidationError),
+    ({5: 1}, PreconditionError),
+], ids=["negative_count", "index_past_n"])
+def test_cyclic_decomposition_refuses_bad_counts(counts, error):
+    with pytest.raises(error):
+        CyclicDecomposition.from_counts(ctx_for(4), counts)
+
+
+def test_cyclic_decomposition_drops_zero_counts():
+    ctx = ctx_for(4)
+    dec = CyclicDecomposition.from_counts(ctx, {2: 0, 3: 1})
+    assert dec.mult == ((3, 1),)
+    empty = CyclicDecomposition.from_counts(ctx, {1: 0})
+    assert empty.mult == () and str(empty) == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -696,6 +696,20 @@ def test_from_labels_validation():
         MfClass.from_labels(cd, [(z(2), 3)])
 
 
+@pytest.mark.parametrize("d, error, match", [
+    (z(16), PreconditionError, "16 does not divide 72 in Z"),
+    (z(5), PreconditionError, "5 does not divide 72 in Z"),
+    (z(0), PreconditionError, "0 does not divide 72 in Z"),
+    (GF3.parse("x"), ValidationError, "mixed ring instances"),
+], ids=["past-the-multiplicity", "non-divisor", "zero", "mixed-ring"])
+def test_from_divisors_refuses_what_does_not_divide_W(d, error, match):
+    cd = critical_decompose(z(72))
+    with pytest.raises(error, match=match):
+        MfClass.from_divisors(cd, [z(12), d])
+    with pytest.raises(error):
+        elementary_sum(z(72), [d])
+
+
 def _hmf_iso(a, b):
     cd = critical_decompose(a.W)
     return primary_decompose(a, cd).labels == primary_decompose(b, cd).labels

@@ -130,6 +130,19 @@ def test_json_decoding_failure_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ring, p", [
+    ("GF(1)[x]", "x"),
+    ("GF(3)[x]", ""),
+    ("GF(3)[x]", "x++1"),
+    ("Z", "9" * 5000),
+], ids=["gf1", "gf_empty_literal", "gf_double_sign", "z_past_digit_limit"])
+def test_malformed_ring_or_literal_exit_2(capsys, ring, p):
+    code, out, err = run(capsys, "quiver", "--ring", ring, p, "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
 def test_non_ascii_digits_exit_2(capsys):
     # int() alone read this as W = 360 and d = 12
     doc = {"W": "\u0663\u0666\u0660", "ring": "Z", "elementary": "1_2"}

@@ -19,6 +19,7 @@ from smithfact import (
     elementary_sum,
     exact_div,
     gcd,
+    hom_differentials,
     identity_morphism,
     is_null_homotopic,
     null_homotopy_witness,
@@ -154,6 +155,27 @@ def test_compose():
     assert _oracle_commutes(gf.source, gf.target, gf.f00, gf.f11)
     # generator composites: (1*3, 3*1) scaled by gcd bookkeeping
     assert gf.f00 == g.f00 @ f.f00
+
+
+# each refusal of morphisms that do not fit together, with its error type
+MISFIT_MORPHISM_CASES = {
+    "compose": (lambda: compose(identity_morphism(e(2, 12)),
+                                identity_morphism(e(3, 12))),
+                ValidationError),
+    "elementary_morphism_rank_2": (
+        lambda: elementary_morphism(elementary_sum(z(12), [z(2), z(3)]),
+                                    e(2, 12), z(1)),
+        PreconditionError),
+    "hom_differentials_two_W": (lambda: hom_differentials(e(2, 12), e(2, 4)),
+                                ValidationError),
+}
+
+
+@pytest.mark.parametrize("build, error", MISFIT_MORPHISM_CASES.values(),
+                         ids=MISFIT_MORPHISM_CASES.keys())
+def test_morphisms_that_do_not_fit_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------

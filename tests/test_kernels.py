@@ -396,7 +396,7 @@ def test_gf_gcd_matches_the_euclid_loop(p):
     # GFPolynomialRing._gcd keeps remainders only; the Euclid loop over
     # _divmod, which builds every quotient, is the reference
     ring = gf_polynomial_ring(p)
-    assert vars(GFPolynomialRing)["_gcd"] is not vars(Ring)["_gcd"]
+    assert "_gcd" in vars(GFPolynomialRing) and "_gcd" not in vars(Ring)
     rng = random.Random(p)
 
     def poly(degree):
@@ -510,7 +510,7 @@ def test_payload_primitives_stay_plain_functions(monkeypatch):
     # these class attributes with a plain function of (self, a, b): a
     # staticmethod or builtin would be called with one argument too many,
     # and a _mul that called self._mul would be counted twice
-    for cls, names in ((Ring, ("_mul", "_divmod", "_xgcd")),
+    for cls, names in ((Ring, ("_xgcd",)),
                        (IntegerRing, ("_mul", "_divmod")),
                        (GFPolynomialRing, ("_mul", "_divmod"))):
         for name in names:

@@ -139,6 +139,31 @@ def test_mixed_rings_rejected(build):
         build()
 
 
+# each refusal of a malformed shape or operand, with its error type
+SHAPE_CASES = {
+    "negative_rows": (lambda: RingMatrix(Z, -1, 0, ()), ValidationError),
+    "negative_cols": (lambda: RingMatrix.zeros(Z, 2, -1), ValidationError),
+    "diagonal_too_long": (lambda: RingMatrix.diagonal(Z, [1, 2], rows=1),
+                          ValidationError),
+    "empty_block_grid": (lambda: RingMatrix.block([]), PreconditionError),
+    "block_shapes": (lambda: RingMatrix.block([[M([[1]]), M([[1, 2]])],
+                                               [M([[1]]), M([[1]])]]),
+                     ValidationError),
+    "add_non_matrix": (lambda: M([[1]]) + 1, ValidationError),
+    "sub_non_matrix": (lambda: M([[1]]) - z(1), ValidationError),
+    "add_shape": (lambda: M([[1, 2]]) + M([[1], [2]]), ValidationError),
+    "sub_shape": (lambda: M([[1, 2]]) - M([[1]]), ValidationError),
+    "matmul_non_matrix": (lambda: M([[1]]) @ [[1]], ValidationError),
+}
+
+
+@pytest.mark.parametrize("build, error", SHAPE_CASES.values(),
+                         ids=SHAPE_CASES.keys())
+def test_malformed_shapes_and_operands_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_non_element_entries_rejected():
     with pytest.raises(ValidationError):
         RingMatrix.from_rows(Z, [["3"]])

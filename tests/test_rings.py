@@ -4,6 +4,8 @@ import copy
 import operator
 import pickle
 import random
+import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,30 @@ def test_cross_ring_arithmetic_rejected():
         z(1) + GF3.parse("x")
 
 
+# each refusal of a malformed ring, literal or operand, with its error type
+REFUSAL_CASES = {
+    "negative_power": (lambda: Z.from_int(2) ** -1, PreconditionError),
+    "same_ring_of_nothing": (lambda: rings.same_ring(), PreconditionError),
+    "gf0": (lambda: ring_from_text("GF(0)[x]"), ParseError),
+    "gf1": (lambda: ring_from_text("GF(1)[x]"), ParseError),
+    "gf_empty_literal": (lambda: GF3.parse(""), ParseError),
+    "gf_double_sign": (lambda: GF3.parse("x++1"), ParseError),
+    "z_past_digit_limit": (lambda: Z.parse("9" * 5000), ParseError),
+}
+
+
+@pytest.mark.parametrize("build, error", REFUSAL_CASES.values(),
+                         ids=REFUSAL_CASES.keys())
+def test_malformed_input_refused(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_int_minus_element_takes_the_reflected_operator():
+    assert 3 - Z.from_int(5) == Z.from_int(-2)
+    assert 1 - GF3.parse("x") == GF3.parse("2*x + 1")
+
+
 def test_operators_refuse_non_elements_with_type_error():
     for op in (operator.add, operator.sub, operator.mul, operator.lt):
         with pytest.raises(TypeError):
@@ -209,7 +235,7 @@ def test_gcd_canonical_and_zero_rules():
 
 def test_integer_gcd_matches_the_euclid_loop():
     # IntegerRing._gcd is math.gcd; the Euclid loop is the reference
-    assert vars(IntegerRing)["_gcd"] is not vars(rings.Ring)["_gcd"]
+    assert "_gcd" in vars(IntegerRing) and "_gcd" not in vars(rings.Ring)
     rng = random.Random(61)
     small = (0, 1, -1, 2, -2, 12, -18)
     pairs = [(a, b) for a in small for b in small]
@@ -220,6 +246,18 @@ def test_integer_gcd_matches_the_euclid_loop():
     for a, b in pairs:
         assert Z._gcd(a, b) == ref.euclid_gcd(Z, a, b), (a, b)
         assert Z._gcd(a, b) >= 0
+
+
+def test_each_ring_defines_every_listed_primitive():
+    # Ring's docstring is the one list of payload primitives; the base class
+    # defines none of them, so each concrete ring must define all
+    listed = re.findall(r"``(_\w+)\(", rings.Ring.__doc__)
+    assert len(listed) == len(set(listed)) == 13
+    for name in listed:
+        assert name not in vars(rings.Ring), name
+        for cls in (IntegerRing, GFPolynomialRing):
+            assert isinstance(vars(cls).get(name), types.FunctionType), \
+                (cls, name)
 
 
 def test_gcd_divisible_case_gives_a_bezout_certificate():

@@ -370,6 +370,11 @@ def test_module_invariants_text(ring, factors, want):
     assert str(ModuleInvariants.build(ring, factors)) == want
 
 
+def test_module_invariants_refuse_factors_that_are_not_a_chain():
+    with pytest.raises(ValidationError, match="do not form a chain"):
+        ModuleInvariants.build(Z, [z(2), z(3)])
+
+
 def test_subquotient_smoke():
     # ker(0)/im(diag(2,3)) = Z^2 / (2Z + 3Z) = Z/6 after merging
     outer = RingMatrix.zeros(Z, 2, 2)
