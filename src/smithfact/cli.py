@@ -4,8 +4,10 @@ Subcommands wrap the library one-to-one: snf, classify, iso, cone, hom,
 quiver, plus a seeded demo walkthrough.  Inputs are inline JSON, a file
 path, or "-" for standard input.  Output is byte-deterministic for a fixed
 invocation.  Exit codes: 0 success, 2 parse error (every JSON decoding
-failure included) or an unusable file argument (unreadable or non-UTF-8
-input, unwritable --out), 3 validation error, 4 precondition violation.
+failure included) or an unusable file argument (a missing, unreadable or
+non-UTF-8 input, each "cannot read input", or an unwritable --out), 3
+validation error (a ring or W that disagrees inside one document too), 4
+precondition violation.  A diagnostic is one line, cut at 200 characters.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .errors import ParseError, PreconditionError, ValidationError
 from .factorizations import (cone, elementary, elementary_morphism,
                              suspension)
 from .matrices import RingMatrix
-from .rings import _DECIMAL, Ring, ring_from_text
+from .rings import (ZZ, Ring, _read_decimal, gf_polynomial_ring,
+                    ring_from_text)
 from .sampling import conjugate_factorization, random_label_multiset, \
     random_matrix
 from .smith import smith
@@ -41,10 +44,7 @@ def _read_text(source: str) -> str:
     try:
         if stripped == "-":
             return sys.stdin.read()
-        path = Path(source)
-        if not path.exists():
-            raise ParseError(f"input file not found: {source}")
-        return path.read_text(encoding="utf-8")
+        return Path(source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input {source}: {exc}") from None
 
@@ -61,15 +61,9 @@ def _load_json(source: str):
         raise ParseError(f"malformed JSON: {exc}") from None
 
 
-def _default_ring(args) -> Ring | None:
-    if getattr(args, "ring", None) is None:
-        return None
-    return ring_from_text(args.ring)
-
-
-def _fallback_ring(args) -> Ring:
-    """Ring for inputs that carry no declaration: --ring, else Z."""
-    return _default_ring(args) or ring_from_text("Z")
+def _default_ring(args, fallback: Ring | None = None) -> Ring | None:
+    """Ring for inputs that carry no declaration: --ring, else fallback."""
+    return fallback if args.ring is None else ring_from_text(args.ring)
 
 
 def _matrix_lines(m: RingMatrix) -> list[str]:
@@ -82,7 +76,7 @@ def _matrix_lines(m: RingMatrix) -> list[str]:
 
 
 def _cmd_snf(args) -> str:
-    a = jsonio.parse_matrix(_load_json(args.matrix), _fallback_ring(args))
+    a = jsonio.parse_matrix(_load_json(args.matrix), _default_ring(args, ZZ))
     dec = smith(a)
     if args.format == "json":
         return jsonio.dumps(jsonio.smith_to_json(dec))
@@ -175,7 +169,7 @@ _QUIVER_MAX_N = 10_000  # the DOT output grows linearly in n
 def _cmd_quiver(args) -> str:
     if args.n > _QUIVER_MAX_N:
         raise PreconditionError(f"n exceeds the quiver bound {_QUIVER_MAX_N}")
-    ring = _fallback_ring(args)
+    ring = _default_ring(args, ZZ)
     p = jsonio.parse_element(ring, args.p)
     ctx = artinian.LambdaContext(p, args.n)
     q = artinian.ar_quiver(ctx, stable=args.stable)
@@ -194,16 +188,15 @@ def _cmd_quiver(args) -> str:
 
 
 def _demo_smith_section(lines: list[str]):
-    zz = ring_from_text("Z")
-    a = jsonio.parse_matrix([[2, 4], [6, 8]], zz)
+    a = jsonio.parse_matrix([[2, 4], [6, 8]], ZZ)
     dec = smith(a)
     lines.append("== Smith normal form ==")
     lines.append("A = [[2, 4], [6, 8]] over Z")
     lines.append("invariant factors: "
                  + ", ".join(d.text() for d in dec.invariant_factors))
     lines.append(f"certificate U*A = D*V verified: {dec.verify(a)}")
-    gf5 = ring_from_text("GF(5)[x]")
-    b = jsonio.parse_matrix([["x", "x^2"], ["0", "x"]], gf5)
+    b = jsonio.parse_matrix([["x", "x^2"], ["0", "x"]],
+                            gf_polynomial_ring(5))
     dec_b = smith(b)
     lines.append("B = [[x, x^2], [0, x]] over GF(5)[x]")
     lines.append("invariant factors: "
@@ -212,19 +205,18 @@ def _demo_smith_section(lines: list[str]):
 
 
 def _demo_w12_section(lines: list[str]):
-    zz = ring_from_text("Z")
-    W = zz.from_int(12)
+    W = ZZ.from_int(12)
     cd = critical_decompose(W)
     lines.append("== Factorizations of W = 12 over Z ==")
     for d in (1, 2, 3, 4, 6, 12):
-        cls = primary_decompose(elementary(zz.from_int(d), W), cd)
+        cls = primary_decompose(elementary(ZZ.from_int(d), W), cd)
         lines.append(f"class of e_{d}: {cls}")
-    e2, e6 = elementary(zz.from_int(2), W), elementary(zz.from_int(6), W)
+    e2, e6 = elementary(ZZ.from_int(2), W), elementary(ZZ.from_int(6), W)
     zmf = strong_iso(e2, e6)
     hmf = primary_decompose(e2, cd).labels == primary_decompose(e6, cd).labels
     lines.append(f"strict iso e_2 ~ e_6: {zmf}")
     lines.append(f"homotopy iso e_2 ~ e_6: {hmf}")
-    f = elementary_morphism(e2, e6, zz.one)
+    f = elementary_morphism(e2, e6, ZZ.one)
     xi, zeta = cone_split(f)
     lines.append(f"cone of the unit map e_2 -> e_6 splits as "
                  f"e_{xi.text()} + e_{zeta.text()}")
@@ -233,15 +225,14 @@ def _demo_w12_section(lines: list[str]):
 
 
 def _demo_w360_section(lines: list[str]):
-    zz = ring_from_text("Z")
-    W = zz.from_int(360)
+    W = ZZ.from_int(360)
     cd = critical_decompose(W)
     lines.append("== W = 360 = 2^3 * 3^2 * 5 ==")
     crit = ", ".join(f"({p.text()}, {n})" for p, n in cd.critical)
     lines.append(f"critical primes with orders: {crit}")
     lines.append(f"critical ideal generator: "
                  f"{critical_ideal_generator(cd).text()}")
-    e12 = elementary(zz.from_int(12), W)
+    e12 = elementary(ZZ.from_int(12), W)
     lines.append(f"class of e_12: {primary_decompose(e12, cd)}")
     hom = hmf_hom(e12, e12)
     lines.append(f"hom(e_12, e_12): even {hom.even}, odd {hom.odd}")
@@ -249,8 +240,7 @@ def _demo_w360_section(lines: list[str]):
 
 
 def _demo_artinian_section(lines: list[str]):
-    zz = ring_from_text("Z")
-    ctx = artinian.LambdaContext(zz.from_int(2), 5)
+    ctx = artinian.LambdaContext(ZZ.from_int(2), 5)
     lines.append("== Modules over Z/2^5 ==")
     lines.append("stable hom sizes mu(i, j) for i, j in 1..4:")
     for i in range(1, 5):
@@ -268,8 +258,8 @@ def _demo_artinian_section(lines: list[str]):
                  f"{artinian.serre_identity(ctx)}")
     lines.append(f"socle generates in {artinian.generation_steps(ctx)} steps")
     m = artinian.mu(5, 2, 3)
-    hom = hmf_hom(elementary(zz.from_int(4), zz.from_int(32)),
-                  elementary(zz.from_int(8), zz.from_int(32)))
+    hom = hmf_hom(elementary(ZZ.from_int(4), ZZ.from_int(32)),
+                  elementary(ZZ.from_int(8), ZZ.from_int(32)))
     lines.append(f"cross-check over W = 2^5: even hom annihilator 2^{m} "
                  f"matches the matrix computation: "
                  f"{[f.text() for f in hom.even.cyclic_factors] == [str(2 ** m)]}")
@@ -278,11 +268,10 @@ def _demo_artinian_section(lines: list[str]):
 
 def _demo_selftest_section(lines: list[str], seed: int):
     rng = Random(seed)
-    zz = ring_from_text("Z")
     lines.append(f"== Seeded self-test (seed {seed}) ==")
     ok = 0
     rounds = 5
-    W = zz.from_int(360)
+    W = ZZ.from_int(360)
     cd = critical_decompose(W)
     for _ in range(rounds):
         labels = random_label_multiset(cd, rng)
@@ -294,7 +283,7 @@ def _demo_selftest_section(lines: list[str], seed: int):
                  f"{ok}/{rounds} rounds")
     checks = 0
     for _ in range(10):
-        m = random_matrix(zz, rng, 3, 3, int_bound=20)
+        m = random_matrix(ZZ, rng, 3, 3, int_bound=20)
         checks += smith(m).verify(m)
     lines.append(f"random 3x3 Smith certificates verified: {checks}/10")
 
@@ -316,24 +305,40 @@ def _decimal(text: str) -> int:
     """argparse type of the integer arguments: ASCII decimal digits only, as
     in ring literals, so ``5`` passes and ``1_0``, ``٥`` or ``５`` is a usage
     error (exit 2) with argparse's own wording."""
-    s = text.strip()
-    if _DECIMAL.fullmatch(s):
-        try:  # int() refuses literals past the int-to-str digit limit
-            return int(s)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return _read_decimal(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
+# messages echo literals, paths and argument values whole
+_MAX_DIAGNOSTIC = 200
+
+
+def _cut(message: str) -> str:
+    """At most ``_MAX_DIAGNOSTIC`` characters of a message, plus its length."""
+    if len(message) <= _MAX_DIAGNOSTIC:
+        return message
+    return f"{message[:_MAX_DIAGNOSTIC]}…({len(message)} characters)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors cut like the others; subparsers are of this class too."""
+
+    def error(self, message):
+        super().error(_cut(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smithfact",
         description="Exact Smith forms and matrix-factorization "
                     "classification over Z and GF(p)[x].")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, formats=("json", "text"), ring_falls_back=False):
-        # only snf and quiver read their inputs through _fallback_ring
+        # only snf and quiver pass _default_ring a fallback
         sp.add_argument("--ring", default=None,
                         help="ring for inputs without a declaration (Z or "
                              "GF(p)[x]; " + ("default Z)" if ring_falls_back
@@ -398,6 +403,11 @@ def _emit(text: str, out: str | None):
         raise ParseError(f"cannot write output {out}: {exc}") from None
 
 
+_FAILURES = {ParseError: ("parse error", 2),
+             ValidationError: ("invalid input", 3),
+             PreconditionError: ("precondition violated", 4)}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -408,15 +418,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         _emit(args.handler(args), args.out)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_FAILURES) as exc:
+        label, code = _FAILURES[type(exc)]
+        print(f"{label}: {_cut(str(exc))}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -107,7 +107,6 @@ class MatrixFactorization:
 
 def elementary(v: RingElement, W: RingElement) -> MatrixFactorization:
     """Rank-one factorization with the given v; u = W/v, so v must divide W."""
-    same_ring(v, W)
     if v.is_zero:
         raise PreconditionError("v must be non-zero")
     u = exact_div(W, v)
@@ -237,21 +236,19 @@ def hom_differentials(a1: MatrixFactorization,
     (v2*f11 - f00*v1, u2*f00 - f11*u1); the odd matrix sends (s01, s10) to
     (v2*s10 + s01*u1, u2*s01 + s10*v1).  Both square of size 2*rho1*rho2,
     and their products vanish in either order.
+
+    They share four Kronecker blocks, each built once: V2 = v2 (x) I,
+    U2 = u2 (x) I, V1 = I (x) v1^T and U1 = I (x) u1^T give
+    even = [[-V1, V2], [U2, -U1]] and odd = [[U1, V2], [U2, V1]].
     """
     if a1.W != a2.W:
         raise ValidationError("morphism spaces need a common W")
-    r1, r2 = a1.rho, a2.rho
-    ring = a1.ring
-    eye1 = RingMatrix.identity(ring, r1)
-    eye2 = RingMatrix.identity(ring, r2)
-    even = RingMatrix.block([
-        [-kron(eye2, a1.v.transpose()), kron(a2.v, eye1)],
-        [kron(a2.u, eye1), -kron(eye2, a1.u.transpose())],
-    ])
-    odd = RingMatrix.block([
-        [kron(eye2, a1.u.transpose()), kron(a2.v, eye1)],
-        [kron(a2.u, eye1), kron(eye2, a1.v.transpose())],
-    ])
+    eye1 = RingMatrix.identity(a1.ring, a1.rho)
+    eye2 = RingMatrix.identity(a1.ring, a2.rho)
+    V2, U2 = kron(a2.v, eye1), kron(a2.u, eye1)
+    V1, U1 = kron(eye2, a1.v.transpose()), kron(eye2, a1.u.transpose())
+    even = RingMatrix.block([[-V1, V2], [U2, -U1]])
+    odd = RingMatrix.block([[U1, V2], [U2, V1]])
     return even, odd
 
 

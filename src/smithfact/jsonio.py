@@ -3,7 +3,9 @@
 Output dictionaries use a fixed key insertion order and canonical element
 text, so serialized results are byte-stable for equal inputs.  Parsing is
 permissive about redundancy (a nested matrix may omit the ring when the
-enclosing object pins it) but strict about consistency.
+enclosing object pins it) but strict about consistency: a nested part over
+another ring (checked by the object constructors) or a morphism's top-level
+W other than its source's is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Any
 
 from .artinian import CyclicDecomposition
 from .classify import MfClass, StrongDecomposition
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .factorizations import (MatrixFactorization, MfMorphism, elementary,
                              elementary_morphism)
 from .matrices import RingMatrix
@@ -62,7 +64,7 @@ def parse_ring(obj, fallback: Ring | None = None) -> Ring:
     """Ring from its text name ("Z", "GF(p)[x]").
 
     An explicit name wins; the fallback covers objects that omit it.
-    Consistency between nested parts is enforced by the object parsers.
+    Consistency between nested parts is enforced by the object constructors.
     """
     if obj is None:
         _expect(fallback is not None, "no ring given and none implied")
@@ -154,11 +156,8 @@ def parse_factorization(obj, ring: Ring | None = None) -> MatrixFactorization:
         return elementary(parse_element(ring, data["elementary"]), W)
     for key in ("u", "v"):
         _expect(key in data, f"factorization lacks \"{key}\"")
-    u = parse_matrix(data["u"], ring)
-    v = parse_matrix(data["v"], ring)
-    _expect(u.ring is ring and v.ring is ring,
-            "u and v must live in the factorization's ring")
-    return MatrixFactorization(W, u, v)
+    return MatrixFactorization(W, parse_matrix(data["u"], ring),
+                               parse_matrix(data["v"], ring))
 
 
 def morphism_to_json(f: MfMorphism) -> dict:
@@ -187,19 +186,15 @@ def parse_morphism(obj, ring: Ring | None = None) -> MfMorphism:
         return elementary_morphism(src, dst, parse_element(ring, data["r"]))
     for key in ("source", "target", "f00", "f11"):
         _expect(key in data, f"morphism lacks \"{key}\"")
-    if declared is not None or ring is not None:
+    if declared is not None:
         ring = parse_ring(declared, ring)
     src = parse_factorization(data["source"], ring)
     dst = parse_factorization(data["target"], ring)
     ring = src.ring
-    if "W" in data:
-        W = parse_element(ring, data["W"])
-        _expect(W == src.W, "top-level W disagrees with the source")
-    f00 = parse_matrix(data["f00"], ring)
-    f11 = parse_matrix(data["f11"], ring)
-    _expect(f00.ring is src.ring and f11.ring is src.ring,
-            "components must live in the endpoints' ring")
-    return MfMorphism(src, dst, f00, f11)
+    if "W" in data and parse_element(ring, data["W"]) != src.W:
+        raise ValidationError("top-level W disagrees with the source")
+    return MfMorphism(src, dst, parse_matrix(data["f00"], ring),
+                      parse_matrix(data["f11"], ring))
 
 
 def smith_to_json(dec: SmithDecomposition) -> dict:

@@ -210,13 +210,7 @@ class IntegerRing(Ring):
                 f"more digits than the int-to-str limit allows") from exc
 
     def _parse_payload(self, text):
-        s = text.strip()
-        if not _DECIMAL.fullmatch(s):
-            raise ParseError(f"not an integer literal: {text!r}")
-        try:  # int() refuses literals past the int-to-str digit limit
-            return int(s)
-        except ValueError as exc:
-            raise ParseError(f"not an integer literal: {text!r}") from exc
+        return _read_decimal(text)
 
 
 def _kronecker_slots() -> dict[int, tuple[int, str]]:
@@ -237,9 +231,20 @@ _KRONECKER_SLOTS = _kronecker_slots()
 _KRONECKER_MIN_TERMS = 20
 _BYTE_ORDER = sys.byteorder
 _MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
-# literals are ASCII decimal: int() and \d also take "1_000" and other scripts'
-# digits
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_decimal(text: str) -> int:
+    """The one reader of decimal literals: ASCII ``[+-]?[0-9]+`` once
+    stripped (int() and ``\\d`` also take "1_000" and other scripts' digits),
+    else ``ParseError``, as for a literal past the int-to-str digit limit."""
+    s = text.strip()
+    if not _DECIMAL.fullmatch(s):
+        raise ParseError(f"not a decimal literal: {text!r}")
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 class GFPolynomialRing(Ring):
@@ -453,11 +458,8 @@ class GFPolynomialRing(Ring):
             if not m or (m.group(2) is None and "x" not in chunk):
                 raise ParseError(f"bad polynomial term: {chunk!r}")
             sign = -1 if m.group(1) == "-" else 1
-            try:  # int() refuses literals past the int-to-str digit limit
-                coef = int(m.group(2) or 1)
-                exp = int(m.group(4) or 1) if "x" in chunk else 0
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+            coef = _read_decimal(m.group(2) or "1")
+            exp = _read_decimal(m.group(4) or "1") if "x" in chunk else 0
             if exp > _MAX_LITERAL_DEGREE:
                 raise ParseError(f"exponent exceeds the degree bound "
                                  f"{_MAX_LITERAL_DEGREE} in a {self.name} "
@@ -495,8 +497,8 @@ def ring_from_text(text: str) -> Ring:
     m = _RING_TEXT.fullmatch(s)
     if m:
         try:
-            return gf_polynomial_ring(int(m.group(1)))
-        except (ValueError, ValidationError) as exc:
+            return gf_polynomial_ring(_read_decimal(m.group(1)))
+        except (PreconditionError, ValidationError) as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown ring declaration: {text!r}")
 

@@ -9,6 +9,7 @@ from smithfact import (
     ValidationError,
     CyclicDecomposition,
     LambdaContext,
+    MfClass,
     PreconditionError,
     ar_quiver,
     ar_sequence,
@@ -40,6 +41,7 @@ def ctx_for(n, p=2):
 def test_context_validation():
     ctx = ctx_for(4)
     assert ctx.modulus == z(16)
+    assert str(ctx) == "Z/<16>"
     with pytest.raises(ValidationError):
         LambdaContext(z(2), 1)
     with pytest.raises(ValidationError):
@@ -57,6 +59,7 @@ def test_context_gf():
     x = GF3.parse("x")
     ctx = LambdaContext(x, 3)
     assert ctx.modulus == x * x * x
+    assert str(ctx) == "GF(3)[x]/<x^3>"
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,20 @@ def test_cok_crosscheck_integer():
 def test_cok_crosscheck_gf():
     x = GF3.parse("x")
     assert cok_crosscheck(LambdaContext(x, 3))
+
+
+@pytest.mark.parametrize("wrong", ["mu", "primary_decompose"])
+def test_cok_crosscheck_catches_a_mismatch(monkeypatch, wrong):
+    # a wrong index formula, or a wrong class of a suspension, fails the check
+    import smithfact.artinian as artinian
+
+    if wrong == "mu":
+        monkeypatch.setattr(artinian, "mu", lambda n, i, j: mu(n, i, j) + 1)
+    else:
+        # every suspension read as the zero object
+        monkeypatch.setattr(artinian, "primary_decompose",
+                            lambda a, cd: MfClass.from_labels(cd, []))
+    assert not cok_crosscheck(ctx_for(4))
 
 
 @pytest.mark.parametrize("ctx", [ctx_for(6), ctx_for(3, p=3),

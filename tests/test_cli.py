@@ -93,6 +93,7 @@ def test_snf_malformed_json_exit_2(capsys):
 def test_snf_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "snf", "--ring", "Z", "/nonexistent.json")
     assert code == 2
+    assert err.startswith("parse error: cannot read input /nonexistent.json")
 
 
 # Past Python's int-to-str digit limit int() raises a plain ValueError; the
@@ -130,17 +131,32 @@ def test_json_decoding_failure_exit_2(capsys, argv):
     assert err.startswith("parse error:") and err.count("\n") == 1
 
 
+# diagnostics echo literals, paths and argument values; the CLI cuts each
+# message at 200 characters, so a line stays short whatever the input
+LONG = "9" * 100_000
+MAX_LINE_BYTES = 300
+
+
+def short_lines(err: str) -> bool:
+    return all(len(line.encode()) <= MAX_LINE_BYTES
+               for line in err.splitlines())
+
+
 @pytest.mark.parametrize("ring, p", [
     ("GF(1)[x]", "x"),
     ("GF(3)[x]", ""),
     ("GF(3)[x]", "x++1"),
     ("Z", "9" * 5000),
-], ids=["gf1", "gf_empty_literal", "gf_double_sign", "z_past_digit_limit"])
+    ("Z", LONG),
+    ("R" * 100_000, "2"),
+], ids=["gf1", "gf_empty_literal", "gf_double_sign", "z_past_digit_limit",
+        "z_long_literal", "long_ring"])
 def test_malformed_ring_or_literal_exit_2(capsys, ring, p):
     code, out, err = run(capsys, "quiver", "--ring", ring, p, "2")
     assert code == 2
     assert out == ""
     assert err.startswith("parse error:") and err.count("\n") == 1
+    assert short_lines(err)
 
 
 def test_non_ascii_digits_exit_2(capsys):
@@ -207,15 +223,20 @@ def _file_argv(tmp_path, kind):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe[[1]]")
         return ["snf", str(bad)]
+    if kind == "long-name":
+        # not JSON, so read as a path; the error repeats the path
+        return ["snf", "n" * 100_000]
     return ["snf", "[[1]]", "--out", str(tmp_path / "missing" / "x.json")]
 
 
-@pytest.mark.parametrize("kind", ["directory", "non-utf8", "unwritable-out"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "long-name",
+                                  "unwritable-out"])
 def test_unusable_file_argument_exit_2(capsys, tmp_path, kind):
     code, out, err = run(capsys, *_file_argv(tmp_path, kind))
     assert code == 2
     assert out == ""
     assert err.startswith("parse error:") and err.count("\n") == 1
+    assert short_lines(err)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +324,14 @@ def test_classify_gf_trial_division_past_budget_exit_4(p):
     assert seconds < 1
 
 
+def test_classify_gf_trial_division_past_budget_in_process(capsys):
+    doc = '{"W": "x^2+1", "ring": "GF(1000000007)[x]", "elementary": "1"}'
+    code, out, err, seconds = timed_run(capsys, "classify", doc)
+    assert code == 4 and out == ""
+    assert err.startswith("precondition violated: trial division over")
+    assert seconds < 1
+
+
 # ---------------------------------------------------------------------------
 # iso
 
@@ -318,6 +347,28 @@ def test_iso_same_object(capsys):
     a = json.dumps({"W": "12", "ring": "Z", "elementary": "2"})
     blob = run_json(capsys, "iso", a, a)
     assert blob == {"zmf": True, "hmf": True}
+
+
+ELEMENTARY_MORPHISM = {
+    "W": "12", "ring": "Z",
+    "source": {"W": "12", "ring": "Z", "elementary": "2"},
+    "target": {"W": "12", "ring": "Z", "elementary": "6"},
+    "f00": [[3]], "f11": [[1]],
+}
+GF3_ONE = {"ring": "GF(3)[x]", "entries": [["1"]]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("classify", {"W": "12", "ring": "Z", "u": GF3_ONE, "v": [[12]]}),
+    ("cone", {**ELEMENTARY_MORPHISM, "f00": GF3_ONE}),
+    ("cone", {**ELEMENTARY_MORPHISM,
+              "target": {"W": "1", "ring": "GF(3)[x]", "elementary": "1"}}),
+    ("cone", {**ELEMENTARY_MORPHISM, "W": "24"}),
+], ids=["nested_u", "nested_f00", "endpoints", "top_level_W"])
+def test_inconsistent_document_exit_3(capsys, command, doc):
+    code, out, err = run(capsys, command, json.dumps(doc))
+    assert code == 3 and out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
 def test_iso_different_W_exit_3(capsys):
@@ -502,6 +553,20 @@ def test_unknown_subcommand_exit_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--seed", HUGE],
+    ["snf", "--format", LONG, "[[1]]"],
+    ["snf", "[[1]]", LONG],
+    [LONG],
+], ids=["seed_past_digit_limit", "long_format",
+        "extra_argument", "long_subcommand"])
+def test_usage_errors_are_cut_to_short_lines(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: smithfact")
+    assert err.endswith(" characters)\n") and short_lines(err)
 
 
 # ---------------------------------------------------------------------------

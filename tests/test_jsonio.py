@@ -9,6 +9,7 @@ from smithfact import (
     LambdaContext,
     ParseError,
     RingMatrix,
+    ValidationError,
     decompose_module,
     elementary,
     elementary_morphism,
@@ -131,8 +132,6 @@ def test_factorization_elementary_shorthand():
 
 
 def test_factorization_bad_product():
-    from smithfact import ValidationError
-
     blob = {
         "W": "5",
         "ring": "Z",
@@ -176,13 +175,24 @@ def test_morphism_w_consistency():
     f = elementary_morphism(e(2, 12), e(6, 12), z(1))
     blob = morphism_to_json(f)
     blob["W"] = "24"
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError,
+                       match="top-level W disagrees with the source"):
+        parse_morphism(blob)
+
+
+@pytest.mark.parametrize("part", ["u", "f00", "target"])
+def test_parts_over_another_ring_refused(part):
+    # the constructors refuse them: MatrixFactorization, _commutes, and
+    # MfMorphism's common-W check
+    blob = morphism_to_json(elementary_morphism(e(2, 12), e(6, 12), z(1)))
+    other = (factorization_to_json(elementary(GF3.one, GF3.one))
+             if part == "target" else {"ring": "GF(3)[x]", "entries": [["1"]]})
+    (blob["source"] if part == "u" else blob)[part] = other
+    with pytest.raises(ValidationError):
         parse_morphism(blob)
 
 
 def test_morphism_noncocycle_rejected():
-    from smithfact import ValidationError
-
     blob = {
         "W": "12",
         "ring": "Z",

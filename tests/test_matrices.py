@@ -143,6 +143,7 @@ def test_mixed_rings_rejected(build):
 SHAPE_CASES = {
     "negative_rows": (lambda: RingMatrix(Z, -1, 0, ()), ValidationError),
     "negative_cols": (lambda: RingMatrix.zeros(Z, 2, -1), ValidationError),
+    "payload_count": (lambda: RingMatrix(Z, 2, 2, [1, 2, 3]), ValidationError),
     "diagonal_too_long": (lambda: RingMatrix.diagonal(Z, [1, 2], rows=1),
                           ValidationError),
     "empty_block_grid": (lambda: RingMatrix.block([]), PreconditionError),

@@ -293,6 +293,13 @@ def test_factorize_unit_and_zero():
         factorize(Z.zero)
 
 
+def test_factorize_gf_refuses_past_the_trial_division_cap():
+    # degree-1 trial division over GF(10**9 + 7) would try 10**9 + 7
+    # candidates
+    with pytest.raises(PreconditionError, match="trial division"):
+        factorize(gf_polynomial_ring(10**9 + 7).parse("x^2 + 1"))
+
+
 def test_factorize_gf2():
     f = factorize(GF2.parse("x^2 + x"))
     assert f.unit == GF2.one
