@@ -15,15 +15,26 @@ and ``factorize`` always return canonical values, which is what makes the
 classification layers deterministic.
 
 The multiplicity of a prime in an element is read by ``_valuation``, the
-one divide-out loop on payloads.  Trial division factors GF(p)[x] only
-(``_gf_trial_factor``), and refuses a degree with more than
+one divide-out loop on payloads, in O(log e) divisions.  Trial division
+factors GF(p)[x] only (``_gf_trial_factor``), ends as soon as Rabin's test
+proves the cofactor irreducible, and refuses a degree with more than
 ``_GF_TRIAL_CANDIDATES`` candidates; Z has its own factorizer.
 
 GF(p)[x] products use Kronecker substitution above a small size crossover:
 each operand is packed into one integer, a fixed-width slot per
 coefficient, so one built-in big-integer product does the work of the
 double loop.  Small operands, and primes whose slots would need more than
-8 bytes (e.g. GF(10**18+3)), keep the schoolbook loop.
+8 bytes (e.g. GF(10**18+3)), keep the schoolbook loop.  One-byte slots are
+reduced mod p all at once, by ``bytes.translate`` through the ring's
+256-byte ``_residues`` table; wider slots are read through a
+``memoryview`` and reduced one by one.
+
+GF(p)[x] long division by a divisor of degree 8 or more runs on one packed
+integer too: each quotient coefficient is one shift and mask to read the
+top slot, and one add of the shifted multiple of -b.  Slots are never
+cleared, only read mod p, so a slot holds its coefficient plus up to
+min(len b, len q) terms of at most (p-1)**2; a divisor of lower degree,
+or a bound past 8 bytes, keeps the loop.
 
 Matrix products are a payload primitive too, ``_matmul``: the base class
 keeps the schoolbook loop over ``_add`` and ``_mul``, Z sums built-in
@@ -36,6 +47,17 @@ dimension k = 1 has nothing to sum: each entry is one ``_mul``, with
 nothing packed; these are most of the products of the 1x1 checks in
 ``MatrixFactorization`` and ``MfMorphism``.  This rule comes from the
 product's shape, not its size.
+
+Smith's row updates are payload primitives as well: ``_row_axpy`` (ri -
+q*rk) and ``_row_pair`` (x*rk + y*ri and s*ri - t*rk).  ``Ring`` keeps
+them as comprehensions over ``_add``, ``_sub`` and ``_mul``, the test
+oracle and the fallback; Z writes the int arithmetic inline.  GF(p)[x]
+packs each entry once, one byte per coefficient (``bytes(e)``), negates
+the subtracted multiplier, and reduces each output entry through
+``_residues``.  It falls back to the generic rows when p > 256 or when a
+slot's bound, (p-1) + min(len q, longest entry)*(p-1)**2 for ``_row_axpy``
+and the larger of the two sums of such terms for ``_row_pair``, passes 255:
+always from p = 17 on, and often over GF(5).
 
 Z's gcd is ``math.gcd``; the GF(p)[x] gcd is Euclid on remainders alone,
 with no quotient built.  ``Ring`` itself has no gcd loop to inherit.
@@ -93,7 +115,9 @@ class Ring:
     - ``_gcd(a, b)``: the canonical gcd, with gcd(0, 0) = 0;
     - ``_from_int(k)``, ``_format(a)`` and ``_parse_payload(text)``.
 
-    ``_xgcd`` and ``_matmul`` are shared, built on those.
+    ``_xgcd``, ``_matmul``, ``_row_axpy`` and ``_row_pair`` are shared,
+    built on those; the last three are overridden with faster arithmetic
+    that returns the same payloads.
     """
 
     name = "?"
@@ -119,18 +143,46 @@ class Ring:
 
     def _xgcd(self, a, b):
         """Extended Euclid on payloads: returns (g, x, y) with x*a + y*b = g,
-        g canonical."""
+        g canonical.
+
+        The loop tracks x alone; y = (g - x*a)/b is one exact division at
+        the end, and a remainder there raises ``PreconditionError``.
+        """
+        sub, mul = self._sub, self._mul
         zero, one = self._from_int(0), self._from_int(1)
         r0, r1 = a, b
         x0, x1 = one, zero
-        y0, y1 = zero, one
         while r1:
             q, r = self._divmod(r0, r1)
             r0, r1 = r1, r
-            x0, x1 = x1, self._sub(x0, self._mul(q, x1))
-            y0, y1 = y1, self._sub(y0, self._mul(q, y1))
+            x0, x1 = x1, sub(x0, mul(q, x1))
         u = self._canonical_unit(r0)
-        return self._mul(u, r0), self._mul(u, x0), self._mul(u, y0)
+        g, x = mul(u, r0), mul(u, x0)
+        if not b:  # x = u, and y = 0 as in the loop's start
+            return g, x, zero
+        rest = sub(g, mul(x, a))
+        y, r = self._divmod(rest, b)
+        if r:
+            raise _not_dividing(self, b, rest)
+        return g, x, y
+
+    def _row_axpy(self, ri, q, rk):
+        """The row ri - q*rk of payloads, skipping the zero entries of rk.
+        ``smith``'s plain eliminations; rings override it with fused
+        arithmetic that gives the same payloads."""
+        sub, mul = self._sub, self._mul
+        return [sub(e, mul(q, p)) if p else e for p, e in zip(rk, ri)]
+
+    def _row_pair(self, x, y, s, t, rk, ri):
+        """The rows x*rk + y*ri and s*ri - t*rk of payloads: ``smith``'s
+        general two-row block.  A position where both rows are zero stays
+        zero."""
+        add, sub, mul = self._add, self._sub, self._mul
+        zero = self._from_int(0)
+        return ([add(mul(x, p), mul(y, e)) if p or e else zero
+                 for p, e in zip(rk, ri)],
+                [sub(mul(s, e), mul(t, p)) if p or e else zero
+                 for p, e in zip(rk, ri)])
 
     def _matmul(self, ap, bp, rows: int, k: int, n: int) -> list:
         """Row-major payloads of the (rows x k) by (k x n) product of the
@@ -186,6 +238,13 @@ class IntegerRing(Ring):
         return [sum(map(operator.mul, ap[i * k:(i + 1) * k], col))
                 for i in range(rows) for col in b_cols]
 
+    def _row_axpy(self, ri, q, rk):
+        return [e - q * p if p else e for p, e in zip(rk, ri)]
+
+    def _row_pair(self, x, y, s, t, rk, ri):
+        return ([x * p + y * e if p or e else 0 for p, e in zip(rk, ri)],
+                [s * e - t * p if p or e else 0 for p, e in zip(rk, ri)])
+
     def _is_unit(self, a):
         return a in (1, -1)
 
@@ -229,6 +288,10 @@ _KRONECKER_SLOTS = _kronecker_slots()
 # unpacked: replaying the benchmark's mf_classify products, mostly short,
 # packing every one made _mul slower; on snf_certify's the two were level.
 _KRONECKER_MIN_TERMS = 20
+# Divisor degree from which _divmod packs the remainder into one integer.
+# Packing pays off with the quotient's length, but on snf_certify's
+# divisions a crossover on that length measured the same as this one.
+_PACKED_DIVISOR_DEGREE = 8
 _BYTE_ORDER = sys.byteorder
 _MAX_LITERAL_DEGREE = 100_000  # a literal's payload spans its top exponent
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -323,6 +386,8 @@ class GFPolynomialRing(Ring):
                 packed = (int.from_bytes(array(code, a), _BYTE_ORDER)
                           * int.from_bytes(array(code, b), _BYTE_ORDER))
                 raw = packed.to_bytes((len(a) + n - 1) * size, _BYTE_ORDER)
+                if size == 1:
+                    return tuple(raw.translate(self._residues))
                 return tuple([c % p for c in memoryview(raw).cast(code)])
         out = [0] * (len(a) + n - 1)
         for i, ca in enumerate(a):
@@ -348,13 +413,20 @@ class GFPolynomialRing(Ring):
         pb = [int.from_bytes(array(code, x), _BYTE_ORDER) for x in bp]
         b_cols = [pb[j::n] for j in range(n)]
         width, strip = (la + lb - 1) * size, self._strip
+        residues = self._residues
         out = []
         for i in range(rows):
             arow = pa[i * k:(i + 1) * k]
             for col in b_cols:
                 v = sum(map(operator.mul, arow, col))
-                out.append(strip([c % p for c in memoryview(
-                    v.to_bytes(width, _BYTE_ORDER)).cast(code)]) if v else ())
+                if not v:
+                    out.append(())
+                elif size == 1:
+                    out.append(tuple(v.to_bytes(width, _BYTE_ORDER)
+                                     .translate(residues).rstrip(b"\0")))
+                else:
+                    out.append(strip([c % p for c in memoryview(
+                        v.to_bytes(width, _BYTE_ORDER)).cast(code)]))
         return out
 
     def _divmod(self, a, b):
@@ -374,6 +446,17 @@ class GFPolynomialRing(Ring):
         # lead(a)/lead(b), not zero, so only the remainder is stripped.
         top = len(b) - 1
         inv_lead = 1 if b[top] == 1 else pow(b[top], -1, p)
+        if top >= _PACKED_DIVISOR_DEGREE:
+            # Long division on one packed integer: each step adds c*(-b),
+            # shifted, to the remainder, so a slot takes at most
+            # min(len b, len q) terms of at most (p-1)**2 over its first
+            # coefficient.  A slot is read mod p, never cleared.
+            quo_len = len(a) - top
+            slot = _KRONECKER_SLOTS.get(
+                (p - 1 + min(top + 1, quo_len) * (p - 1) ** 2).bit_length()
+                + 7 >> 3)
+            if slot is not None:
+                return self._packed_divmod(a, b, inv_lead, slot)
         rem = list(a)
         quo = [0] * (len(a) - top)
         for shift in range(len(a) - len(b), -1, -1):
@@ -383,6 +466,74 @@ class GFPolynomialRing(Ring):
                 for k, bc in zip(range(shift, shift + top), b):
                     rem[k] = (rem[k] - c * bc) % p
         return tuple(quo), self._strip(rem[:top])
+
+    def _packed_divmod(self, a, b, inv_lead, slot):
+        """``_divmod`` of a by b (degree >= 8) in the slot (size, typecode):
+        one shift, mask and add per quotient coefficient."""
+        p, (size, code) = self.p, slot
+        top, bits = len(b) - 1, 8 * size
+        mask = (1 << bits) - 1
+        neg_b = int.from_bytes(array(code, [-c % p for c in b]), _BYTE_ORDER)
+        rem = int.from_bytes(array(code, a), _BYTE_ORDER)
+        quo = [0] * (len(a) - top)
+        for shift in range(len(a) - 1 - top, -1, -1):
+            c = (rem >> bits * (shift + top) & mask) * inv_lead % p
+            if c:
+                quo[shift] = c
+                rem += c * neg_b << bits * shift
+        raw = (rem & (1 << bits * top) - 1).to_bytes(top * size, _BYTE_ORDER)
+        if size == 1:
+            return tuple(quo), tuple(raw.translate(self._residues)
+                                     .rstrip(b"\0"))
+        return tuple(quo), self._strip(
+            [c % p for c in memoryview(raw).cast(code)])
+
+    def _row_axpy(self, ri, q, rk):
+        # Fused when p <= 256 and a slot of e + (-q)*p stays below 256:
+        # every entry packs to one byte per coefficient (bytes(e)), and the
+        # result is reduced slot by slot through the _residues table.
+        residues, p = self._residues, self.p
+        lk = max(map(len, rk), default=0)
+        if (residues is None
+                or p - 1 + min(len(q), lk) * (p - 1) ** 2 > 255):
+            return super()._row_axpy(ri, q, rk)
+        neg_q = int.from_bytes(bytes([-c % p for c in q]), "little")
+        width = max(len(q) + lk - 1, max(map(len, ri), default=0))
+        pack = int.from_bytes
+        return [tuple((pack(bytes(e), "little")
+                       + neg_q * pack(bytes(c), "little"))
+                      .to_bytes(width, "little").translate(residues)
+                      .rstrip(b"\0")) if c else e
+                for c, e in zip(rk, ri)]
+
+    def _row_pair(self, x, y, s, t, rk, ri):
+        # Fused as _row_axpy is when a slot of x*c + y*e and of
+        # s*e + (-t)*c stays below 256, else the generic rows.
+        residues, p = self._residues, self.p
+        lk = max(map(len, rk), default=0)
+        li = max(map(len, ri), default=0)
+        if (residues is None
+                or (max(min(len(x), lk) + min(len(y), li),
+                        min(len(s), li) + min(len(t), lk))
+                    * (p - 1) ** 2) > 255):
+            return super()._row_pair(x, y, s, t, rk, ri)
+        pack = int.from_bytes
+        X, Y, S = (pack(bytes(v), "little") for v in (x, y, s))
+        T = pack(bytes([-c % p for c in t]), "little")
+        wk = max(len(x) + lk, len(y) + li) - 1
+        wi = max(len(s) + li, len(t) + lk) - 1
+        out_k, out_i = [], []
+        for c, e in zip(rk, ri):
+            if c or e:
+                c, e = pack(bytes(c), "little"), pack(bytes(e), "little")
+                out_k.append(tuple((X * c + Y * e).to_bytes(wk, "little")
+                                   .translate(residues).rstrip(b"\0")))
+                out_i.append(tuple((S * e + T * c).to_bytes(wi, "little")
+                                   .translate(residues).rstrip(b"\0")))
+            else:
+                out_k.append(())
+                out_i.append(())
+        return out_k, out_i
 
     def _gcd(self, a, b):
         # Euclid on remainders alone: each step reduces the longer list in
@@ -483,6 +634,8 @@ def gf_polynomial_ring(p: int) -> GFPolynomialRing:
     ring = object.__new__(GFPolynomialRing)
     ring.p = p
     ring.name = f"GF({p})[x]"
+    # k -> k mod p for one-byte slots, as a bytes.translate table
+    ring._residues = bytes([k % p for k in range(256)]) if p <= 256 else None
     return ring
 
 
@@ -733,17 +886,29 @@ def factorize(a: RingElement) -> PrimeFactorization:
 def _valuation(ring: Ring, p, a, cap: int | None = None) -> tuple:
     """(e, a / p**e) for the largest e, at most cap, with p**e dividing a.
 
-    p and a are payloads, p neither zero nor a unit.  Each step is one
-    ``_divmod``.  A zero a is divisible by every power of p, so it stops
-    only at the cap.
+    p and a are payloads, p neither zero nor a unit.  It divides by p, p**2,
+    p**4, ... while the division is exact and the cap allows, then by the
+    same powers in reverse, each where it divides: the multiplicity left
+    after the climb is below the power that failed, so the descent reads
+    its binary digits.  That is O(log e) divisions, each one ``_divmod``.
+    A zero a is divisible by every power of p, so it stops only at the cap.
     """
-    e = 0
-    while e != cap:
-        q, r = ring._divmod(a, p)
+    divmod_ = ring._divmod
+    e, powers = 0, [p]
+    while cap is None or e + (1 << len(powers) - 1) <= cap:
+        q, r = divmod_(a, powers[-1])
         if r:
             break
         a = q
-        e += 1
+        e += 1 << len(powers) - 1
+        powers.append(ring._mul(powers[-1], powers[-1]))
+    powers.pop()  # p**(2**i) failed or passed the cap: the rest is below it
+    for i in range(len(powers) - 1, -1, -1):
+        if cap is None or e + (1 << i) <= cap:
+            q, r = divmod_(a, powers[i])
+            if not r:
+                a = q
+                e += 1 << i
     return e, a
 
 
@@ -966,26 +1131,44 @@ def _gf_trial_factor(ring: GFPolynomialRing,
     The candidates are the monic polynomials in increasing (degree, lex)
     order, so a candidate that divides is irreducible.  The search stops
     once twice the candidates' degree exceeds the cofactor's, and a
-    non-unit cofactor left then is prime.  Quotients of monic payloads by
-    monic divisors stay monic.  A degree with more than
+    non-unit cofactor left then is prime.  It also stops as soon as
+    Rabin's test (``_gf_irreducible``) proves the cofactor irreducible,
+    before the first candidate and after each prime found; a test past its
+    work budget proves nothing, and the search goes on.  Quotients of monic
+    payloads by monic divisors stay monic.  A degree with more than
     ``_GF_TRIAL_CANDIDATES`` candidates raises ``PreconditionError`` before
-    any of them is tried.
+    any of them is tried, and before Rabin's test: a field of more than
+    ``_GF_TRIAL_CANDIDATES`` elements is refused for every non-linear input.
     """
     factors = []
     deg = 1
-    while 2 * deg < len(rest):
+    done = 2 * deg >= len(rest)
+    while not done:
         if ring.p ** deg > _GF_TRIAL_CANDIDATES:
             raise PreconditionError(
                 f"trial division over {ring.name} would try {ring.p}**{deg} "
                 f"candidates of degree {deg}, over {_GF_TRIAL_CANDIDATES}")
+        if deg == 1 and _proved_irreducible(ring, rest):
+            break
         for low in itertools.product(range(ring.p), repeat=deg):
             d = low + (1,)
             e, rest = _valuation(ring, d, rest)
             if e:
                 factors.append((d, e))
-                if 2 * deg >= len(rest):
+                done = 2 * deg >= len(rest) or _proved_irreducible(ring, rest)
+                if done:
                     break
         deg += 1
+        done = done or 2 * deg >= len(rest)
     if len(rest) > 1:
         factors.append((rest, 1))
     return factors
+
+
+def _proved_irreducible(ring: GFPolynomialRing, f) -> bool:
+    """Rabin's test on a monic non-unit payload f; False when f is
+    reducible or the test passes its work budget."""
+    try:
+        return _gf_irreducible(ring, f)
+    except PreconditionError:
+        return False

@@ -12,9 +12,12 @@ determinant; only when rank < rows, where D has zero rows and A * v_inv
 yields no such inverse, does it compute det U by Bareiss elimination.  The
 reduction works on the matrices' raw payloads, in one loop with no
 per-call closures; ``RingElement`` values appear only in the Bezout
-certificates it requests and in the invariant factors it returns.  When a
-block requests a certificate, and how each block is applied, is written
-once, in :func:`smith`'s docstring.
+certificates it requests and in the invariant factors it returns.  Row
+updates are the ring's row kernels (see ``rings``), so nothing here
+branches on the ring, and v_inv is kept transposed so that its column
+updates are row updates too.  When a block requests a certificate, and
+how each block is applied, is written once, in :func:`smith`'s
+docstring.
 
 A 2x2 input runs the same steps unrolled on scalar locals
 (``_smith_2x2``), without the loop's row lists and generator ``min``.
@@ -165,8 +168,13 @@ def smith(a: RingMatrix) -> SmithDecomposition:
 
     The reduction runs on rows of raw payloads with the ring's primitives
     bound to locals, in one loop with no per-call closures, and U, V and
-    v_inv are built from the payload rows.  The block of a pair (a, b),
-    a the pivot, is [[x, y], [-t, s]] with determinant x*s + y*t = 1,
+    v_inv are built from the payload rows; v_inv is kept as its transpose,
+    whose rows are its columns.  Row updates of B, U, V and v_inv go
+    through the ring's kernels, ``_row_axpy`` for a plain elimination and
+    ``_row_pair`` for a general block, except V's plain update, its own
+    comprehension.  B's column updates stay an entry loop over its rows.
+    The block of a pair (a, b), a the pivot, is [[x, y], [-t, s]] with
+    determinant x*s + y*t = 1,
     s = a/g, t = b/g and g the canonical gcd.  Each block starts with one
     division of b by a.  When a divides b no certificate is requested:
     g = u*a for u = canonical_unit(a) and the block is
@@ -200,6 +208,7 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
     add, sub, mul, divmod_ = ring._add, ring._sub, ring._mul, ring._divmod
     sort_key, canonical_unit = ring._sort_key, ring._canonical_unit
     is_unit, unit_inv = ring._is_unit, ring._unit_inv
+    row_axpy, row_pair = ring._row_axpy, ring._row_pair
     zero, one = ring._from_int(0), ring._from_int(1)
     m, n = a.rows, a.cols
     B = [list(a.payloads[i * n:(i + 1) * n]) for i in range(m)]
@@ -209,7 +218,7 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
     V = [[zero] * n for _ in range(n)]
     for i in range(n):
         V[i][i] = one
-    Vi = [row[:] for row in V]
+    Vt = [row[:] for row in V]  # v_inv transposed: its columns are rows
 
     k = 0
     while k < min(m, n):
@@ -225,8 +234,7 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
         if pj != k:
             for row in B:
                 row[k], row[pj] = row[pj], row[k]
-            for row in Vi:
-                row[k], row[pj] = row[pj], row[k]
+            Vt[k], Vt[pj] = Vt[pj], Vt[k]
             V[k], V[pj] = V[pj], V[k]
         while True:
             refilled = False  # only a general column block refills column k
@@ -243,19 +251,13 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
                 else:
                     u = canonical_unit(av)
                     if u == one:  # plain: only row i changes
-                        for mat in (B, U):
-                            mat[i] = [e if p == zero else sub(e, mul(q, p))
-                                      for p, e in zip(mat[k], mat[i])]
+                        B[i] = row_axpy(B[i], q, B[k])
+                        U[i] = row_axpy(U[i], q, U[k])
                         continue
                     s = unit_inv(u)
                     x, y, t = u, zero, mul(q, s)
-                # payloads are falsy exactly at zero; a zero pair stays zero
-                for mat in (B, U):
-                    rk, ri = mat[k], mat[i]
-                    mat[k] = [add(mul(x, p), mul(y, e)) if p or e else zero
-                              for p, e in zip(rk, ri)]
-                    mat[i] = [sub(mul(s, e), mul(t, p)) if p or e else zero
-                              for p, e in zip(rk, ri)]
+                B[k], B[i] = row_pair(x, y, s, t, B[k], B[i])
+                U[k], U[i] = row_pair(x, y, s, t, U[k], U[i])
             # columns: right-multiply columns (k, j) by the block of the
             # pivot row entries a = B[k][k], b = B[k][j]; V takes the
             # inverse block from the left
@@ -270,28 +272,25 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
                 else:
                     u = canonical_unit(av)
                     if u == one:  # plain: only column j and row k of V
-                        for mat in (B, Vi):
-                            for row in mat:
-                                p = row[k]
-                                if p != zero:
-                                    row[j] = sub(row[j], mul(q, p))
+                        for row in B:
+                            p = row[k]
+                            if p != zero:
+                                row[j] = sub(row[j], mul(q, p))
+                        Vt[j] = row_axpy(Vt[j], q, Vt[k])
                         V[k] = [p if e == zero else add(p, mul(q, e))
                                 for p, e in zip(V[k], V[j])]
                         continue
                     s = unit_inv(u)
                     x, y, t = u, zero, mul(q, s)
                 refilled = True
-                for mat in (B, Vi):
-                    for row in mat:
-                        p, e = row[k], row[j]
-                        if p or e:
-                            row[k] = add(mul(x, p), mul(y, e))
-                            row[j] = sub(mul(s, e), mul(t, p))
-                vk, vj = V[k], V[j]
-                V[k] = [add(mul(s, p), mul(t, e)) if p or e else zero
-                        for p, e in zip(vk, vj)]
-                V[j] = [sub(mul(x, e), mul(y, p)) if p or e else zero
-                        for p, e in zip(vk, vj)]
+                for row in B:
+                    p, e = row[k], row[j]
+                    if p or e:
+                        row[k] = add(mul(x, p), mul(y, e))
+                        row[j] = sub(mul(s, e), mul(t, p))
+                Vt[k], Vt[j] = row_pair(x, y, s, t, Vt[k], Vt[j])
+                # V takes the inverse block [[s, t], [-y, x]] from the left
+                V[k], V[j] = row_pair(s, t, x, y, V[k], V[j])
             if refilled and any(B[i][k] != zero for i in range(k + 1, m)):
                 continue  # column refilled by the column pass
             d = B[k][k]
@@ -317,7 +316,7 @@ def _smith_loop(a: RingMatrix) -> SmithDecomposition:
         V=RingMatrix(ring, n, n, flat(V)),
         invariant_factors=tuple([RingElement(ring, B[i][i])
                                  for i in range(k)]),
-        v_inv=RingMatrix(ring, n, n, flat(Vi)),
+        v_inv=RingMatrix(ring, n, n, flat(zip(*Vt))),
     )
 
 

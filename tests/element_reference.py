@@ -33,7 +33,15 @@ each ring's ``_matmul``.
 ``euclid_gcd`` is the Euclid loop on payloads that every ring inherited
 before Z took ``math.gcd`` and GF(p)[x] a remainder-only loop: each step
 keeps the remainder of ``_divmod``, and the last non-zero remainder is made
-canonical.  It is the oracle of each ring's ``_gcd``.
+canonical.  It is the oracle of each ring's ``_gcd``.  ``xgcd`` is the
+extended loop ``Ring._xgcd`` ran before it tracked the cofactor x alone and
+read y by one exact division: both cofactors are updated on every step.
+It is the oracle of ``_xgcd``.
+
+``gf_divmod`` is also the oracle of the packed long division of
+``GFPolynomialRing._divmod``, and the generic ``Ring._row_axpy`` and
+``Ring._row_pair`` are the oracles of each ring's fused row kernels; they
+stay in the package, as the fallback of those kernels.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from smithfact.smith import SmithDecomposition
 __all__ = ["smith", "matmul", "det", "kron", "witness_holds",
            "elementary_morphism", "cone_blocks", "cone_split", "is_iso",
            "is_zero_sum",
-           "gf_mul", "gf_divmod", "gf_sub", "gf_add", "euclid_gcd"]
+           "gf_mul", "gf_divmod", "gf_sub", "gf_add", "euclid_gcd", "xgcd"]
 
 
 def smith(a: RingMatrix) -> SmithDecomposition:
@@ -322,3 +330,19 @@ def euclid_gcd(ring, a, b):
     while b:
         a, b = b, ring._divmod(a, b)[1]
     return ring._mul(ring._canonical_unit(a), a)
+
+
+def xgcd(ring, a, b):
+    """(g, x, y) with x*a + y*b = g canonical, by the extended Euclid loop
+    on payloads that updates both cofactors on every step."""
+    zero, one = ring._from_int(0), ring._from_int(1)
+    r0, r1 = a, b
+    x0, x1 = one, zero
+    y0, y1 = zero, one
+    while r1:
+        q, r = ring._divmod(r0, r1)
+        r0, r1 = r1, r
+        x0, x1 = x1, ring._sub(x0, ring._mul(q, x1))
+        y0, y1 = y1, ring._sub(y0, ring._mul(q, y1))
+    u = ring._canonical_unit(r0)
+    return ring._mul(u, r0), ring._mul(u, x0), ring._mul(u, y0)

@@ -534,3 +534,194 @@ def _counting(real, calls):
         calls.append(args)
         return real(*args)
     return counting
+
+
+# the packed division's slot widths: 1 byte (2, 3, 5, 7 on short
+# quotients), 2 bytes (7 on longer ones, 251 on one-term quotients), 4 bytes
+# (251, 257), 8 bytes (65537), and no slot past 8 bytes (10**18+3)
+DIVMOD_PRIMES = [2, 3, 5, 7, 251, 257, 65537, 10**18 + 3]
+
+
+def divmod_operands(p, rng):
+    """Seeded GF(p)[x] payload pairs (a, b), b != 0: divisors of every
+    length 1..20, on both sides of the packing crossover (degree 8), each
+    against dividends from shorter than b to 60 coefficients longer, dense,
+    sparse and all-(p-1), the last reaching the slot bound."""
+    def poly(n, fill):
+        if not n:
+            return ()
+        if fill == "full":
+            return (p - 1,) * n
+        low = [rng.randrange(p) if fill == "dense" or rng.random() < 0.2
+               else 0 for _ in range(n - 1)]
+        return tuple(low) + (rng.randrange(1, p),)
+
+    for lb in range(1, 21):
+        for la in (0, lb - 1, lb, lb + 1, lb + 5, lb + 60):
+            for fill in ("dense", "sparse", "full"):
+                yield poly(la, fill), poly(lb, fill)
+
+
+def test_packed_divmod_matches_long_division(monkeypatch):
+    packed = []
+    monkeypatch.setattr(GFPolynomialRing, "_packed_divmod", _counting(
+        vars(GFPolynomialRing)["_packed_divmod"], packed))
+    widths = set()
+    for p in DIVMOD_PRIMES:
+        ring = gf_polynomial_ring(p)
+        rng = random.Random(p)
+        for a, b in divmod_operands(p, rng):
+            packed.clear()
+            got = ring._divmod(a, b)
+            assert got == ref.gf_divmod(p, a, b), (p, a, b)
+            assert all(type(x) is tuple and (not x or x[-1]) for x in got)
+            # packed exactly when the divisor has degree >= 8, the quotient
+            # is not empty and a slot of 1 to 8 bytes holds a coefficient
+            # plus min(len b, len q) terms of at most (p-1)**2
+            quo = len(a) - len(b) + 1
+            bound = p - 1 + min(len(b), quo) * (p - 1) ** 2
+            slot = rings._KRONECKER_SLOTS.get(bound.bit_length() + 7 >> 3)
+            expect = len(b) > 8 and quo > 0 and slot is not None
+            assert len(packed) == expect, (p, len(a), len(b))
+            if len(b) > 8 and quo > 0:
+                widths.add(slot and slot[0])
+    assert widths == {1, 2, 4, 8, None}
+
+
+def kernel_rows(ring, rng, length, width):
+    """A row of ``width`` payloads with about a third of them zero, up to
+    ``length`` coefficients (over Z, up to 80 bits)."""
+    def entry():
+        if rng.random() < 0.3:
+            return ring._from_int(0)
+        if ring is Z:
+            return rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 80))
+        n = rng.randint(1, length)
+        return tuple(rng.randrange(ring.p) for _ in range(n - 1)) + \
+            (rng.randrange(1, ring.p),)
+    return [entry() for _ in range(width)]
+
+
+def fuses(ring, args) -> bool:
+    """Whether ``ring``'s row kernel should run fused on ``args``: always
+    over Z; over GF(p)[x] when p <= 256 and every one-byte slot stays at
+    most 255, a coefficient of ri plus min(len q, len c) terms of at most
+    (p-1)**2 for ``_row_axpy``, two such sums for ``_row_pair``."""
+    if ring is Z:
+        return True
+    p = ring.p
+    if len(args) == 3:
+        ri, q, rk = args
+        lk = max(map(len, rk), default=0)
+        return p <= 256 and p - 1 + min(len(q), lk) * (p - 1) ** 2 <= 255
+    x, y, s, t, rk, ri = args
+    lk = max(map(len, rk), default=0)
+    li = max(map(len, ri), default=0)
+    terms = max(min(len(x), lk) + min(len(y), li),
+                min(len(s), li) + min(len(t), lk))
+    return p <= 256 and terms * (p - 1) ** 2 <= 255
+
+
+def spy_generic_rows(monkeypatch):
+    """Record each call of ``Ring``'s generic rows, the kernels' fallback."""
+    generic = []
+    for name in ("_row_axpy", "_row_pair"):
+        monkeypatch.setattr(Ring, name, _counting(vars(Ring)[name], generic))
+    return generic
+
+
+@pytest.mark.parametrize("ring", [Z] + [gf_polynomial_ring(p) for p in
+                                        (2, 3, 5, 7, 17, 251, 257, 65537)],
+                         ids=lambda r: r.name)
+def test_row_kernels_match_the_generic_rows(ring, monkeypatch):
+    generic = spy_generic_rows(monkeypatch)
+    axpy, pair = vars(Ring)["_row_axpy"], vars(Ring)["_row_pair"]
+    rng = random.Random(71)
+    zero = ring._from_int(0)
+    seen = set()  # whether rows with a non-zero pair were fused
+    for length in (1, 3, 6, 40):  # GF(3) rows of 40 take the generic path
+        for width in (0, 1, 8):
+            for _ in range(20):
+                rk, ri = (kernel_rows(ring, rng, length, width) for _ in "ki")
+                q, x, y, s, t = kernel_rows(ring, rng, length, 5)
+                for rk, ri in ((rk, ri), ([zero] * width, ri),
+                               (rk, [zero] * width)):
+                    for args, kernel, oracle in (
+                            ((ri, q, rk), ring._row_axpy, axpy),
+                            ((x, y, s, t, rk, ri), ring._row_pair, pair)):
+                        generic.clear()
+                        got = kernel(*args)
+                        assert (not generic) == fuses(ring, args), args
+                        if any(rk) and any(ri):
+                            seen.add(not generic)
+                        assert got == oracle(ring, *args), (ring, args)
+                        if ring is not Z:
+                            outs = got if len(args) == 6 else (got,)
+                            assert all(type(e) is tuple and (not e or e[-1])
+                                       for out in outs for e in out)
+    # both paths run on non-zero rows: the fused one over Z and for p < 17
+    # (from p = 17 on, (p-1)**2 alone passes 255, and past p = 256 there is
+    # no table), the generic one for p > 2
+    if ring is Z or ring.p < 17:
+        assert True in seen
+    assert (False in seen) == (ring is not Z and ring.p > 2)
+
+
+def test_row_kernels_fuse_up_to_a_slot_bound_of_255(monkeypatch):
+    # over GF(2) a slot of e + q*c holds 1 + min(len q, len c) terms and
+    # one of x*c + y*e min(len x, len c) + min(len y, len e): the first
+    # case of each reaches 255, the second 256
+    generic = spy_generic_rows(monkeypatch)
+    ones, e = (lambda n: (1,) * n), (1, 1, 1)
+    cases = [("_row_axpy", ([e, e], ones(n), [ones(n), ()]), fused)
+             for n, fused in ((254, True), (255, False))]
+    cases += [("_row_pair", (ones(128), ones(m), (1,), (1,), [ones(128), ()],
+                             [ones(m), ()]), fused)
+              for m, fused in ((127, True), (128, False))]
+    for name, args, fused in cases:
+        generic.clear()
+        got = getattr(GF2, name)(*args)
+        assert (not generic) == fused == fuses(GF2, args), (name, fused)
+        assert got == vars(Ring)[name](GF2, *args)
+
+
+@pytest.mark.parametrize("ring", [Z] + [gf_polynomial_ring(p) for p in
+                                        (2, 3, 5, 65537, 10**18 + 3)],
+                         ids=lambda r: r.name)
+def test_xgcd_matches_the_two_cofactor_loop(ring, monkeypatch):
+    # Ring._xgcd tracks x alone and reads y = (g - x*a)/b by one exact
+    # division: one _divmod more than the loop's quotients when b != 0
+    assert "_xgcd" in vars(Ring) and "_xgcd" not in vars(type(ring))
+    rng = random.Random(73)
+    if ring is Z:
+        pairs = list(itertools.product(range(-12, 13), repeat=2))
+        pairs += [(rng.getrandbits(90) - (1 << 89), rng.getrandbits(70) + 1)
+                  for _ in range(200)]
+    else:
+        def poly(n):
+            return tuple(rng.randrange(ring.p) for _ in range(n)) + \
+                (rng.randrange(1, ring.p),) if n >= 0 else ()
+        pairs = [(poly(rng.randint(-1, 12)), poly(rng.randint(-1, 12)))
+                 for _ in range(300)]
+        common = poly(2)  # pairs with a gcd that is not a unit
+        pairs += [(ring._mul(common, a), ring._mul(common, b))
+                  for a, b in pairs[:50]]
+    # counted on the instance: a test that patched it there leaves the
+    # bound method behind, which would hide a patch on the class
+    divisions = []
+    monkeypatch.setattr(ring, "_divmod", _counting(ring._divmod, divisions),
+                        raising=False)
+    for a, b in pairs:
+        divisions.clear()
+        got = ring._xgcd(a, b)
+        ours = len(divisions)
+        assert got == ref.xgcd(ring, a, b), (a, b)
+        theirs = len(divisions) - ours
+        assert ours == theirs + (1 if b else 0), (a, b)
+
+
+def test_xgcd_refuses_an_inexact_cofactor(monkeypatch):
+    # an off-by-one difference breaks x, so b no longer divides g - x*a
+    monkeypatch.setattr(IntegerRing, "_sub", lambda self, a, b: a - b + 1)
+    with pytest.raises(PreconditionError, match="3 does not divide 7"):
+        Z._xgcd(5, 3)

@@ -1,6 +1,7 @@
 """Ring arithmetic, canonical forms, gcd certificates, factorization."""
 
 import copy
+import math
 import operator
 import pickle
 import random
@@ -534,19 +535,87 @@ def test_valuation(monkeypatch, ring, p, unit):
     calls = counted_divmod(monkeypatch, ring)
     a = ring._mul(unit, ring._mul(p, ring._mul(p, p)))  # unit * p^3
     assert rings._valuation(ring, p, a) == (3, unit)
-    assert len(calls) == 4  # three quotients and the remainder that stops
+    # up by p and p^2, p^4 fails; down: p^2 and p fail
+    assert [d for _, d in calls] == [p, ring._mul(p, p), ring._mul(
+        ring._mul(p, p), ring._mul(p, p)), ring._mul(p, p), p]
     calls.clear()
     assert rings._valuation(ring, p, a, 2) == (2, ring._mul(unit, p))
-    assert len(calls) == 2  # the cap is reached: no further division
+    assert len(calls) == 2  # p, then p again: p^2 would pass the cap
     calls.clear()
     assert rings._valuation(ring, p, unit) == (0, unit)  # not a divisor
     assert len(calls) == 1
     calls.clear()
     zero = ring._from_int(0)
     assert rings._valuation(ring, p, zero, 5) == (5, zero)
-    assert len(calls) == 5
+    assert len(calls) == 3  # p and p^2 (e = 3), p^4 would pass: p^2 again
     calls.clear()
     assert rings._valuation(ring, p, a, 0) == (0, a) and not calls
+
+
+def test_valuation_takes_logarithmically_many_divisions(monkeypatch):
+    # x^10000 over GF(3): 14 divisions up (x^1 .. x^8192, the last
+    # inexact) and 13 down, within 2 * ceil(log2 10000) + 2 = 30
+    calls = counted_divmod(monkeypatch, GF3)
+    a = (0,) * 10000 + (1,)
+    assert rings._valuation(GF3, (0, 1), a) == (10000, (1,))
+    assert len(calls) <= 2 * math.ceil(math.log2(10000)) + 2
+    calls.clear()
+    # (x + 1)^e times x^2 + 1, which x + 1 does not divide, under caps
+    # around e
+    p, u = GF3.parse("x + 1"), GF3.parse("x^2 + 1")
+    for e in (1, 2, 7, 8, 9, 100, 127, 128):
+        for cap in (None, e - 1, e, e + 1):
+            want = e if cap is None else min(e, cap)
+            assert rings._valuation(GF3, p.payload, (u * p ** e).payload,
+                                    cap) == (want, (u * p ** (e - want)).payload)
+
+
+def test_gf_trial_factor_ends_an_irreducible_cofactor_at_once(monkeypatch):
+    # Rabin's test proves these irreducible before any candidate divides
+    irreducible = []
+    for ring, degree in ((GF2, 40), (GF2, 40), (GF3, 24)):
+        rng = random.Random(len(irreducible))
+        while True:
+            f = ring.element(tuple(rng.randrange(ring.p)
+                                   for _ in range(degree)) + (1,))
+            if is_prime(f):
+                break
+        irreducible.append(f)
+    calls = []  # Rabin's test factors its degree over Z: not a candidate
+    monkeypatch.setattr(rings, "_valuation",
+                        _counting_call(rings._valuation, calls))
+
+    def tried():
+        return [d for ring, d, *_ in calls if ring is not Z]
+
+    for f in irreducible:
+        two = f.ring.from_int(2) if f.ring.p > 2 else f.ring.one
+        fac = factorize(two * f)
+        assert fac.unit == two and fac.factors == ((f, 1),)
+    assert not tried()
+    # the prime x leaves an irreducible cofactor: no other candidate is
+    # tried
+    x = GF2.parse("x")
+    fac = factorize(x * x * irreducible[0])
+    assert fac.factors == ((x, 2), (irreducible[0], 1))
+    assert tried() == [(0, 1)]
+
+
+def test_gf_trial_factor_goes_on_past_rabins_budget():
+    # Rabin's test refuses degree 10000 at once (its budget is 0 steps),
+    # and trial division by x finds x^10000
+    fac = factorize(GF3.parse("x^10000"))
+    assert fac.factors == ((GF3.parse("x"), 10000),)
+    fac = factorize(GF3.parse("2*x^10000 + 2*x^9999"))
+    assert fac.unit == GF3.from_int(2)
+    assert fac.factors == ((GF3.parse("x"), 9999), (GF3.parse("x + 1"), 1))
+
+
+def _counting_call(real, calls):
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    return counting
 
 
 # ---------------------------------------------------------------------------
